@@ -150,6 +150,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadEvents$$ -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzReadEventsRoundTrip -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot/
+	$(GO) test -run=^$$ -fuzz=FuzzFAMatchesMapReference -fuzztime=10s ./internal/baseline/
 
 # ci is the tier-1 verification gate.
 ci: build test vet check race e2e bench

@@ -39,6 +39,9 @@ go test -race -short ./internal/mc/... ./internal/pprofutil/...
 go test -race -short -run 'Sharded' ./internal/buckets/
 go test -race -short -run 'Trials|MedianDistinguishWorker|MedianDistinguishStream|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
 
+echo "==> fuzz smoke (open-addressed FA index vs the map-indexed reference)"
+go test -run '^$' -fuzz FuzzFAMatchesMapReference -fuzztime 10s ./internal/baseline/
+
 echo "==> e2e: fault isolation + checkpoint resume (mayasim)"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT

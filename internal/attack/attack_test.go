@@ -3,6 +3,7 @@ package attack
 import (
 	"crypto/aes"
 	"math/big"
+	"slices"
 	"testing"
 
 	"mayacache/internal/baseline"
@@ -137,6 +138,44 @@ func TestModExpVictimDeterministic(t *testing.T) {
 	for i := range la {
 		if la[i] != lb[i] {
 			t.Fatal("same seed, different traces")
+		}
+	}
+}
+
+// TestModExpVictimReplaysExp pins the record-once victim: every Run emits
+// exactly the table lines the real exponentiation traces for the same
+// exponent, for Fig 8's key pair and a longer exponent.
+func TestModExpVictimReplaysExp(t *testing.T) {
+	for _, tc := range []struct {
+		keySeed  uint64
+		expBits  int
+		distinct int // distinct table entries the exponent's windows use
+	}{
+		{1, 64, 10}, // Fig 8's pair: the footprints TestDistinguishModExpKeys relies on
+		{4, 64, 7},
+		{9, 256, 16},
+	} {
+		g, mod, exp := modExpOperands(tc.keySeed, tc.expBits)
+		var want []uint64
+		NewModExp(g, mod, 1<<21, modExpEntryLines, func(l uint64) { want = append(want, l) }).Exp(exp)
+		if n := tc.expBits / 4 * modExpEntryLines; len(want) != n {
+			t.Fatalf("key %d: Exp traced %d lines, want %d (one entry per window)", tc.keySeed, len(want), n)
+		}
+		entries := map[uint64]bool{}
+		for _, l := range want {
+			entries[(l-1<<21)/modExpEntryLines] = true
+		}
+		if len(entries) != tc.distinct {
+			t.Errorf("key %d: exponent uses %d distinct table entries, want %d", tc.keySeed, len(entries), tc.distinct)
+		}
+		var got []uint64
+		v := NewModExpVictim(tc.keySeed, tc.expBits, 1<<21, func(l uint64) { got = append(got, l) })
+		for run := 0; run < 3; run++ {
+			got = got[:0]
+			v.Run()
+			if !slices.Equal(got, want) {
+				t.Fatalf("key %d run %d: replayed %v, Exp traced %v", tc.keySeed, run, got, want)
+			}
 		}
 	}
 }

@@ -7,7 +7,8 @@ import "math/big"
 // table g^0..g^15 is the side-channel source: which entries an
 // exponentiation touches (and how often) depends on the secret exponent's
 // windows. The arithmetic is real (math/big); the cache trace reports the
-// table lines each window multiplication reads.
+// table lines each window multiplication reads. ModExpVictim runs it once,
+// at construction, and replays the recorded table schedule per sample.
 type ModExp struct {
 	mod  *big.Int
 	base *big.Int

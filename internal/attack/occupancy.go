@@ -127,22 +127,26 @@ func FindContrastingAESKeys(candidates, poolSize int, seed uint64) ([16]byte, [1
 }
 
 // ModExpVictim performs fixed-window modular exponentiations with a fixed
-// secret exponent — the Fig 8 "modular exponentiation" victim.
+// secret exponent — the Fig 8 "modular exponentiation" victim. Its table
+// schedule depends only on the exponent's windows, so the real
+// exponentiation runs once, at construction, and every Run replays the
+// table lines it read.
 type ModExpVictim struct {
-	m    *ModExp
-	exp  *big.Int
-	name string
+	lines []uint64 // table lines one exponentiation reads, in order
+	trace func(line uint64)
+	name  string
 }
 
-// NewModExpVictim derives a deterministic pseudo-random expBits-bit
-// exponent from keySeed over RSA-2048-style operands: the modulus is 2048
-// bits, so each window-table entry spans four cache lines and the set of
-// windows a key uses translates directly into its cache footprint.
-func NewModExpVictim(keySeed uint64, expBits int, tableBase uint64, trace func(uint64)) *ModExpVictim {
-	if expBits < 8 {
-		expBits = 8
-	}
-	const modBits = 2048
+// The victim's RSA-2048-style operands: a window-table entry spans one
+// 64B line per 512 operand bits.
+const (
+	modExpModBits    = 2048
+	modExpEntryLines = modExpModBits / 512
+)
+
+// modExpOperands derives keySeed's deterministic pseudo-random
+// expBits-bit exponent and odd modulus, and the base 3.
+func modExpOperands(keySeed uint64, expBits int) (g, mod, exp *big.Int) {
 	sm := keySeed
 	randBig := func(bits int) *big.Int {
 		words := (bits + 63) / 64
@@ -154,20 +158,37 @@ func NewModExpVictim(keySeed uint64, expBits int, tableBase uint64, trace func(u
 		x.SetBit(x, bits-1, 1) // full bit length
 		return x
 	}
-	exp := randBig(expBits)
-	mod := randBig(modBits)
+	exp = randBig(expBits)
+	mod = randBig(modExpModBits)
 	mod.SetBit(mod, 0, 1) // odd modulus
-	g := big.NewInt(3)
-	entryLines := modBits / 512 // one 64B line per 512 operand bits
-	return &ModExpVictim{
-		m:    NewModExp(g, mod, tableBase, entryLines, trace),
-		exp:  exp,
-		name: fmt.Sprintf("modexp-%x", keySeed),
-	}
+	return big.NewInt(3), mod, exp
 }
 
-// Run implements Victim: one full exponentiation with the secret exponent.
-func (v *ModExpVictim) Run() { v.m.Exp(v.exp) }
+// NewModExpVictim derives a deterministic pseudo-random expBits-bit
+// exponent from keySeed over RSA-2048-style operands: the modulus is 2048
+// bits, so each window-table entry spans four cache lines and the set of
+// windows a key uses translates directly into its cache footprint. It
+// runs the exponentiation once to record the table schedule Run replays.
+func NewModExpVictim(keySeed uint64, expBits int, tableBase uint64, trace func(uint64)) *ModExpVictim {
+	if expBits < 8 {
+		expBits = 8
+	}
+	g, mod, exp := modExpOperands(keySeed, expBits)
+	v := &ModExpVictim{trace: trace, name: fmt.Sprintf("modexp-%x", keySeed)}
+	NewModExp(g, mod, tableBase, modExpEntryLines, func(l uint64) { v.lines = append(v.lines, l) }).Exp(exp)
+	return v
+}
+
+// Run implements Victim: one full exponentiation with the secret
+// exponent, as the table lines it reads.
+func (v *ModExpVictim) Run() {
+	if v.trace == nil {
+		return
+	}
+	for _, l := range v.lines {
+		v.trace(l)
+	}
+}
 
 // Name implements Victim.
 func (v *ModExpVictim) Name() string { return v.name }

@@ -3,6 +3,7 @@ package baseline
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/rng"
@@ -10,12 +11,17 @@ import (
 
 // FullyAssociative is a true fully-associative cache with random
 // replacement — the security gold standard against conflict-based attacks
-// that the randomized designs approximate. Lookup uses a map (a real
-// implementation would need an impractical CAM, which is the paper's
-// motivation for Mirage/Maya).
+// that the randomized designs approximate. Lookup goes through a flat
+// open-addressed hash table over the slots (a real implementation would
+// need an impractical CAM, which is the paper's motivation for
+// Mirage/Maya): the table is a power of two at least four times the
+// capacity, probes linearly, and deletes by backward shift, so it never
+// grows, rehashes or holds tombstones.
 type FullyAssociative struct {
 	capacity int
-	index    map[faKey]int32 // key -> slot
+	table    []int32 // open-addressed index: slot+1 of the line hashing here, 0 = empty
+	shift    uint    // 64 - log2(len(table)): the multiplicative hash keeps the top bits
+	mask     uint64  // len(table) - 1
 	slots    []faEntry
 	used     []int32 // dense list of occupied slots for O(1) random eviction
 	r        *rng.Rand
@@ -36,6 +42,7 @@ type faEntry struct {
 	dirty   bool
 	reused  bool
 	usedPos int32
+	tabPos  uint64 // position of the slot's reference in table
 }
 
 // NewFullyAssociativeChecked creates a fully-associative cache, returning
@@ -44,13 +51,18 @@ func NewFullyAssociativeChecked(capacity int, seed uint64, matchSDID bool) (*Ful
 	if capacity <= 0 {
 		return nil, cachemodel.BadConfigf("baseline: FullyAssociative capacity must be positive, got %d", capacity)
 	}
-	// Slot and usedPos fields are int32; every index below is < capacity.
+	// Slot and usedPos fields are int32, and the table stores slot+1;
+	// every slot below is < capacity.
 	if capacity > math.MaxInt32 {
 		return nil, cachemodel.BadConfigf("baseline: FullyAssociative capacity %d overflows int32 slot indices", capacity)
 	}
+	// At most a quarter full, a miss mostly ends on its first probe.
+	tableBits := bits.Len(uint(4*capacity - 1))
 	c := &FullyAssociative{
 		capacity: capacity,
-		index:    make(map[faKey]int32, capacity),
+		table:    make([]int32, 1<<tableBits),
+		shift:    uint(64 - tableBits),
+		mask:     1<<tableBits - 1,
 		slots:    make([]faEntry, capacity),
 		used:     make([]int32, 0, capacity),
 		r:        rng.New(seed ^ 0xfa),
@@ -66,6 +78,51 @@ func (c *FullyAssociative) key(line uint64, sdid uint8) faKey {
 	return faKey{line: line}
 }
 
+// home is k's first probe position: a Fibonacci hash of the line, with
+// the domain folded into the top byte, keeping the table's index bits.
+func (c *FullyAssociative) home(k faKey) uint64 {
+	return ((k.line ^ uint64(k.sdid)<<56) * 0x9e3779b97f4a7c15) >> c.shift
+}
+
+// find returns k's table position and slot, or the position of the empty
+// entry that ends its probe chain and slot -1. The table is never more
+// than a quarter full, so every chain ends.
+func (c *FullyAssociative) find(k faKey) (uint64, int32) {
+	for i := c.home(k); ; i = (i + 1) & c.mask {
+		ref := c.table[i]
+		if ref == 0 {
+			return i, -1
+		}
+		if c.slots[ref-1].key == k {
+			return i, ref - 1
+		}
+	}
+}
+
+// unlink empties table position i and shifts the rest of its probe
+// cluster back, so no lookup chain is broken and no tombstone is left.
+func (c *FullyAssociative) unlink(i uint64) {
+	for j := i; ; {
+		c.table[i] = 0
+		for {
+			j = (j + 1) & c.mask
+			ref := c.table[j]
+			if ref == 0 {
+				return
+			}
+			// The entry at j may fill the hole at i only if the hole
+			// lies on its probe chain: no further from j than its home.
+			moved := &c.slots[ref-1]
+			if (j-c.home(moved.key))&c.mask >= (j-i)&c.mask {
+				c.table[i] = ref
+				moved.tabPos = i
+				i = j
+				break
+			}
+		}
+	}
+}
+
 // Access implements cachemodel.LLC.
 func (c *FullyAssociative) Access(a cachemodel.Access) cachemodel.Result {
 	c.wbBuf = c.wbBuf[:0]
@@ -77,7 +134,8 @@ func (c *FullyAssociative) Access(a cachemodel.Access) cachemodel.Result {
 		s.Writebacks++
 	}
 	k := c.key(a.Line, a.SDID)
-	if slot, ok := c.index[k]; ok {
+	pos, slot := c.find(k)
+	if slot >= 0 {
 		e := &c.slots[slot]
 		if a.Type == cachemodel.Read {
 			// Only demand hits count as reuse for dead-block stats.
@@ -99,7 +157,6 @@ func (c *FullyAssociative) Access(a cachemodel.Access) cachemodel.Result {
 	} else {
 		s.WritebackMisses++
 	}
-	var slot int32
 	if len(c.used) < c.capacity {
 		// Find a free slot: slots are allocated densely from the front,
 		// but eviction frees arbitrary slots, so track via a free scan
@@ -118,8 +175,8 @@ func (c *FullyAssociative) Access(a cachemodel.Access) cachemodel.Result {
 		}
 	} else {
 		// Random global eviction.
-		pos := int32(c.r.Intn(len(c.used))) //mayavet:checked Intn < len(used) <= capacity <= MaxInt32
-		slot = c.used[pos]
+		victim := int32(c.r.Intn(len(c.used))) //mayavet:checked Intn < len(used) <= capacity <= MaxInt32
+		slot = c.used[victim]
 		v := &c.slots[slot]
 		if v.reused {
 			s.ReusedDataEvictions++
@@ -133,15 +190,18 @@ func (c *FullyAssociative) Access(a cachemodel.Access) cachemodel.Result {
 			c.wbBuf = append(c.wbBuf, cachemodel.WritebackOut{Line: v.key.line, SDID: v.key.sdid})
 			s.WritebacksToMem++
 		}
-		delete(c.index, v.key)
-		c.removeUsedAt(pos)
+		c.unlink(v.tabPos)
+		c.removeUsedAt(victim)
+		// The backward shift may have emptied part of k's probe chain.
+		pos, _ = c.find(k)
 	}
 
 	e := &c.slots[slot]
 	*e = faEntry{key: k, core: a.Core, valid: true, dirty: a.Type == cachemodel.Writeback}
 	e.usedPos = int32(len(c.used)) //mayavet:checked len(used) < capacity <= MaxInt32 (NewFullyAssociative)
+	e.tabPos = pos
 	c.used = append(c.used, slot)
-	c.index[k] = slot
+	c.table[pos] = slot + 1
 	s.Fills++
 	s.DataFills++
 	return cachemodel.Result{Writebacks: c.wbBuf}
@@ -159,13 +219,13 @@ func (c *FullyAssociative) removeUsedAt(pos int32) {
 // Flush implements cachemodel.LLC.
 func (c *FullyAssociative) Flush(line uint64, sdid uint8) bool {
 	k := c.key(line, sdid)
-	slot, ok := c.index[k]
-	if !ok {
+	pos, slot := c.find(k)
+	if slot < 0 {
 		return false
 	}
 	e := &c.slots[slot]
 	c.removeUsedAt(e.usedPos)
-	delete(c.index, k)
+	c.unlink(pos)
 	*e = faEntry{}
 	c.stats.Flushes++
 	return true
@@ -173,8 +233,8 @@ func (c *FullyAssociative) Flush(line uint64, sdid uint8) bool {
 
 // Probe implements cachemodel.LLC.
 func (c *FullyAssociative) Probe(line uint64, sdid uint8) (bool, bool) {
-	_, ok := c.index[c.key(line, sdid)]
-	return ok, ok
+	_, slot := c.find(c.key(line, sdid))
+	return slot >= 0, slot >= 0
 }
 
 // LookupPenalty implements cachemodel.LLC.

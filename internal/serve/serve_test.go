@@ -178,11 +178,16 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 	}
 
 	// Chaos: same specs, hard-stopped once every session has at least one
-	// durable save (so every resume is genuinely mid-run).
+	// durable save (so every resume is genuinely mid-run). Each session
+	// parks in OnSave after its first save until the hard stop, so none
+	// can finish, and journal a terminal record, while another has yet
+	// to save.
 	dir := t.TempDir()
 	var mu sync.Mutex
 	saved := map[string]int{}
 	allSaved := make(chan struct{})
+	victimCtx, hardStop := context.WithCancel(context.Background())
+	defer hardStop()
 	victim := openServer(t, Config{
 		Dir: dir, Workers: len(specs),
 		OnSave: func(key string, saves int) {
@@ -197,9 +202,10 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 					close(allSaved)
 				}
 			}
+			<-victimCtx.Done()
 		},
 	})
-	victim.Start(context.Background())
+	victim.Start(victimCtx)
 	ids := make([]string, len(specs))
 	for i, sp := range specs {
 		id, err := victim.Admit(sp)
@@ -213,6 +219,7 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("sessions never reached a durable save")
 	}
+	hardStop()
 	if err := victim.Close(); err != nil { // hard cancel: no drain, no records
 		t.Fatal(err)
 	}
