@@ -20,10 +20,13 @@ test:
 # (randsource, maporder, uncheckederr, narrowcast, plus the
 # interprocedural seedflow, snapshotfields, goroutinectx, atomicmix — see
 # internal/vet). Extra flags pass through VETFLAGS, e.g.
-# `make vet VETFLAGS='-only seedflow -format json'`.
+# `make vet VETFLAGS='-only seedflow -format json'`. It also fails on any
+# `Deprecated:` doc comment outside perfbench/: delete wrappers instead.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mayavet $(VETFLAGS) ./...
+	@if grep -rn --include='*.go' --exclude-dir=perfbench --exclude-dir=.bench_build 'Deprecated:' .; then \
+	  echo "vet: Deprecated: doc comments above; delete the wrappers instead" >&2; exit 1; fi
 
 # check re-runs the suite with the mayacheck build tag: the hot cache
 # structures self-verify their FPTR/RPTR bijection, occupancy conservation,
@@ -43,7 +46,7 @@ race:
 	$(GO) test -race ./internal/vet/ ./cmd/mayavet/
 	$(GO) test -race -short ./internal/mc/... ./internal/pprofutil/...
 	$(GO) test -race -short -run 'Sharded' ./internal/buckets/
-	$(GO) test -race -short -run 'Trials|MedianDistinguishWorker|MedianDistinguishStream|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
+	$(GO) test -race -short -run 'Trials|MedianDistinguishWorker|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
 
 # e2e exercises the CLIs end to end: mayasim fault isolation (one
 # injected panicking cell, nonzero exit, FAILED row), checkpoint resume

@@ -2,12 +2,15 @@ package mayacache
 
 // One benchmark per table and figure of the paper's evaluation, each
 // regenerating a reduced-scale version of the experiment and logging the
-// headline rows. The cmd tools (mayasim, securitysim, attacksim,
-// overheads) run the full-scale versions with flags.
+// headline rows. The performance figures run the experiments figure table
+// through Session.Run, exactly as mayasim and overheads do; the cmd tools
+// (mayasim, securitysim, attacksim, overheads) run the full-scale
+// versions with flags.
 //
 // Run with: go test -bench=. -benchtime=1x
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -18,8 +21,8 @@ import (
 	"mayacache/internal/cachemodel"
 	maya "mayacache/internal/core"
 	"mayacache/internal/experiments"
+	"mayacache/internal/harness"
 	"mayacache/internal/power"
-	"mayacache/internal/trace"
 )
 
 // mustLLC unwraps a checked cache constructor for statically valid test
@@ -31,49 +34,24 @@ func mustLLC[T cachemodel.LLC](c T, err error) T {
 	return c
 }
 
-// benchScale keeps each benchmark iteration around a second.
-func benchScale() experiments.Scale {
-	return experiments.Scale{WarmupInstr: 400_000, ROIInstr: 200_000, Seed: 1, Parallel: true}
-}
-
-// benchSubset is a representative slice of the benchmark registry: one
-// Maya gainer, one streaming loser, one capacity-wedge loser, one
-// latency-neutral, one GAP loser, and the conflict-pathological pr.
-var benchSubset = []string{"mcf", "lbm", "cactuBSSN", "xz", "cc", "pr"}
-
-func Benchmark_Fig1_DeadBlocks(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig1(sc)
-		ab, am := experiments.Fig1Average(rows)
-		b.ReportMetric(ab, "dead%baseline")
-		b.ReportMetric(am, "dead%mirage")
-		if i == 0 {
-			b.Logf("Fig 1 averages: baseline %.1f%%, Mirage %.1f%% dead (paper: >80%%)", ab, am)
-		}
-	}
-}
-
-func Benchmark_Fig4_ReuseWaySweep(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		// Reduced sweep: reuse ways {1, 3} on the subset.
-		for _, ways := range []int{1, 3} {
-			var sum, n float64
-			for _, bench := range benchSubset[:3] {
-				mix := homog(bench, 8)
-				base := experiments.RunMixDesign(bench, mix, experiments.DesignBaseline, sc)
-				llc := experiments.NewLLC(experiments.DesignMaya, experiments.LLCOptions{
-					Cores: 8, Seed: sc.Seed, FastHash: true, ReuseWays: ways,
-				})
-				res := experiments.RunMixLLC(bench, mix, experiments.DesignMaya, llc, sc)
-				sum += res.WS / base.WS
-				n++
+// Benchmark_PerfFigures runs every performance figure (Figs 1, 4, 9, 10,
+// Tables VII and XI, the Section V-B studies) and Table X's performance
+// column at a reduced scale, one sub-benchmark per figure.
+func Benchmark_PerfFigures(b *testing.B) {
+	sc := experiments.Scale{WarmupInstr: 200_000, ROIInstr: 100_000, Seed: 1}
+	for _, f := range append(experiments.Figures(), experiments.Table10Perf()) {
+		b.Run(f.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runner := harness.New(harness.Options{})
+				rep, err := experiments.NewSession(runner, sc).Run(context.Background(), f)
+				if err != nil || runner.Failed() || rep.Incomplete > 0 {
+					b.Fatalf("%s: %d incomplete rows, err %v, failures %v", f.Name, rep.Incomplete, err, runner.Failures())
+				}
+				if i == 0 {
+					b.Log("\n" + rep.String())
+				}
 			}
-			if i == 0 {
-				b.Logf("Fig 4: %d reuse ways/skew -> normalized WS %.3f", ways, sum/n)
-			}
-		}
+		})
 	}
 }
 
@@ -135,53 +113,16 @@ func Benchmark_Fig8_OccupancyAttack(b *testing.B) {
 			}, 2 * sets * 16},
 		}
 		for _, d := range designs {
-			med := attack.MedianDistinguish(d.mk, func(c cachemodel.LLC) (attack.Victim, attack.Victim) {
+			med, err := attack.Trials{Runs: 1, Workers: 1, Seed: 1}.MedianDistinguishCtx(context.Background(), d.mk, func(c cachemodel.LLC) (attack.Victim, attack.Victim) {
 				va := attack.NewModExpVictim(1, 64, 1<<21, attack.CacheToucher(c, 2))
 				vb := attack.NewModExpVictim(4, 64, 1<<21, attack.CacheToucher(c, 3))
 				return va, vb
-			}, d.occupancy, 16, 1, 4000, 4.5, 1)
+			}, d.occupancy, 16, 4000, 4.5)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if i == 0 {
 				b.Logf("Fig 8 (modexp): %s needs %.0f encryptions to distinguish keys", d.name, med)
-			}
-		}
-	}
-}
-
-func homog(bench string, n int) []string {
-	mix := make([]string, n)
-	for i := range mix {
-		mix[i] = bench
-	}
-	return mix
-}
-
-func Benchmark_Fig9_Homogeneous(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		for _, bench := range benchSubset {
-			mix := homog(bench, 8)
-			base := experiments.RunMixDesign(bench, mix, experiments.DesignBaseline, sc)
-			mir := experiments.RunMixDesign(bench, mix, experiments.DesignMirage, sc)
-			may := experiments.RunMixDesign(bench, mix, experiments.DesignMaya, sc)
-			if i == 0 {
-				b.Logf("Fig 9: %-10s Mirage %.3f Maya %.3f (baseline MPKI %.1f)",
-					bench, mir.WS/base.WS, may.WS/base.WS, base.MPKI)
-			}
-		}
-	}
-}
-
-func Benchmark_Fig10_Heterogeneous(b *testing.B) {
-	sc := benchScale()
-	mixes := trace.HeteroMixes()[:4] // M1-M4 at bench scale
-	for i := 0; i < b.N; i++ {
-		for _, m := range mixes {
-			base := experiments.RunMixDesign(m.Name, m.Benchmarks, experiments.DesignBaseline, sc)
-			mir := experiments.RunMixDesign(m.Name, m.Benchmarks, experiments.DesignMirage, sc)
-			may := experiments.RunMixDesign(m.Name, m.Benchmarks, experiments.DesignMaya, sc)
-			if i == 0 {
-				b.Logf("Fig 10: %-4s (%s) Mirage %.3f Maya %.3f",
-					m.Name, m.Bin, mir.WS/base.WS, may.WS/base.WS)
 			}
 		}
 	}
@@ -223,25 +164,6 @@ func Benchmark_Table4_Associativity(b *testing.B) {
 	}
 }
 
-func Benchmark_Table7_MPKI(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		var base, mir, may float64
-		for _, bench := range benchSubset {
-			mix := homog(bench, 8)
-			base += experiments.RunMixDesign(bench, mix, experiments.DesignBaseline, sc).MPKI
-			mir += experiments.RunMixDesign(bench, mix, experiments.DesignMirage, sc).MPKI
-			may += experiments.RunMixDesign(bench, mix, experiments.DesignMaya, sc).MPKI
-		}
-		n := float64(len(benchSubset))
-		b.ReportMetric(base/n, "mpki-base")
-		b.ReportMetric(may/n, "mpki-maya")
-		if i == 0 {
-			b.Logf("Table VII: avg MPKI baseline %.1f Mirage %.1f Maya %.1f", base/n, mir/n, may/n)
-		}
-	}
-}
-
 func Benchmark_Table8_Storage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, d := range []power.Design{power.Baseline, power.Mirage, power.Maya} {
@@ -268,9 +190,9 @@ func Benchmark_Table9_Energy(b *testing.B) {
 func Benchmark_Table10_Summary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := []struct {
-			d        power.Design
-			T        float64
-			ways     int
+			d    power.Design
+			T    float64
+			ways int
 		}{
 			{power.Maya, 9, 15},
 			{power.Mirage, 8, 14},
@@ -286,18 +208,6 @@ func Benchmark_Table10_Summary(b *testing.B) {
 			if i == 0 {
 				b.Logf("Table X: %-11s security %s storage %+.1f%%",
 					r.d, analytic.FormatInstalls(dist.InstallsPerSAE(r.ways)), st.OverheadVsBaseline()*100)
-			}
-		}
-	}
-}
-
-func Benchmark_Table11_Partitioning(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table11(sc)
-		for _, r := range rows {
-			if i == 0 {
-				b.Logf("Table XI: %-13s performance %+.1f%% storage +%.1f%%", r.Technique, r.PerfDelta, r.StorageOver)
 			}
 		}
 	}

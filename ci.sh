@@ -16,6 +16,14 @@ go vet ./...
 # snapshotfields, goroutinectx, atomicmix).
 go run ./cmd/mayavet -baseline ci-baseline.json ./...
 
+echo "==> no deprecated wrappers"
+# Each capability has one API: a "Deprecated:" doc comment marks a second
+# way to do something, so delete the wrapper and port its callers instead.
+# perfbench/ is a separate module with its own rules.
+if grep -rn --include='*.go' --exclude-dir=perfbench --exclude-dir=.bench_build 'Deprecated:' .; then
+  echo "ci: Deprecated: doc comments above; delete the wrappers instead" >&2; exit 1
+fi
+
 echo "==> race detector (mayavet parallel loader + analyzer pool)"
 go test -race ./internal/vet/ ./cmd/mayavet/
 
@@ -37,7 +45,7 @@ echo "==> race detector (Monte-Carlo engine: shard invariance + cancellation ham
 # sharded buckets/attack tests at CI scale.
 go test -race -short ./internal/mc/... ./internal/pprofutil/...
 go test -race -short -run 'Sharded' ./internal/buckets/
-go test -race -short -run 'Trials|MedianDistinguishWorker|MedianDistinguishStream|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
+go test -race -short -run 'Trials|MedianDistinguishWorker|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
 
 echo "==> fuzz smoke (open-addressed FA index vs the map-indexed reference)"
 go test -run '^$' -fuzz FuzzFAMatchesMapReference -fuzztime 10s ./internal/baseline/

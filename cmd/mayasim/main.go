@@ -9,8 +9,8 @@
 //	        [-workers N] [-serial]
 //	        [-snapshot-dir DIR] [-snapshot-every N] [-grace 30s]
 //
-// Experiments: fig1, fig4, fig9, fig10, table7, table11, fitting, cores,
-// llcsize, all.
+// Experiments: fig1, fig9, fig10, table7, fig4, table11, fitting, cores,
+// llcsize (the entries of experiments.Figures), and all.
 //
 // Every experiment is a sweep of independent cells executed through the
 // resilient harness: a panicking or failing cell is reported in the final
@@ -47,23 +47,27 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/experiments"
 	"mayacache/internal/faults"
 	"mayacache/internal/harness"
-	"mayacache/internal/metrics"
 	"mayacache/internal/pprofutil"
-	"mayacache/internal/report"
 	"mayacache/internal/snapshot"
 )
 
-var validExperiments = []string{
-	"fig1", "fig4", "fig9", "fig10", "table7", "table11",
-	"fitting", "cores", "llcsize", "all",
-}
+// validExperiments are the figure table's names plus "all".
+var validExperiments = func() []string {
+	var names []string
+	for _, f := range experiments.Figures() {
+		names = append(names, f.Name)
+	}
+	return append(names, "all")
+}()
 
 func main() {
 	os.Exit(run())
@@ -71,7 +75,7 @@ func main() {
 
 func run() int {
 	var (
-		exp        = flag.String("experiment", "all", "experiment to run: fig1|fig4|fig9|fig10|table7|table11|fitting|cores|llcsize|all")
+		exp        = flag.String("experiment", "all", "experiment to run: "+strings.Join(validExperiments, "|"))
 		warmup     = flag.Uint64("warmup", 2_000_000, "warmup instructions per core (must be positive)")
 		roi        = flag.Uint64("roi", 1_000_000, "measured instructions per core (must be positive)")
 		seed       = flag.Uint64("seed", 1, "experiment seed")
@@ -122,7 +126,7 @@ func run() int {
 	if *serial && *workers > 1 {
 		return fail("-serial contradicts -workers %d: pick one", *workers)
 	}
-	if !isValidExperiment(*exp) {
+	if !slices.Contains(validExperiments, *exp) {
 		msg := fmt.Sprintf("unknown experiment %q", *exp)
 		if sug := suggestExperiments(*exp); len(sug) > 0 {
 			msg += fmt.Sprintf(" (did you mean %v?)", sug)
@@ -188,206 +192,23 @@ func run() int {
 		func(msg string) { fmt.Fprintln(os.Stderr, "mayasim: "+msg) })
 	defer cancel()
 
-	sc := experiments.Scale{WarmupInstr: *warmup, ROIInstr: *roi, Seed: *seed, Parallel: !*serial}
+	figures := experiments.Figures()
+	if *exp != "all" {
+		figures = []*experiments.Figure{experiments.Lookup(*exp)}
+	}
+	sess := experiments.NewSession(runner, experiments.Scale{WarmupInstr: *warmup, ROIInstr: *roi, Seed: *seed})
 	out := os.Stdout
-
-	emit := func(t *report.Table, incomplete int) {
+	for _, f := range figures {
+		rep, _ := sess.Run(ctx, f)
 		if *csv {
-			t.CSV(out)
+			rep.CSV(out)
 		} else {
-			t.Render(out)
+			rep.Render(out)
 		}
-		if incomplete > 0 {
-			fmt.Fprintf(out, "note: %d row(s) FAILED or missing; aggregates cover completed rows only\n", incomplete)
+		if rep.Incomplete > 0 {
+			fmt.Fprintf(out, "note: %d row(s) FAILED or missing; aggregates cover completed rows only\n", rep.Incomplete)
 		}
 		fmt.Fprintln(out)
-	}
-
-	var fig9Rows []experiments.Fig9Row
-	var fig9OK []bool
-	var fig10Rows []experiments.Fig10Row
-	var fig10OK []bool
-
-	runFig1 := func() {
-		rows, ok, _ := experiments.Fig1Sweep(ctx, runner, sc)
-		t := report.NewTable("Fig 1: % dead blocks inserted into a 2MB single-core LLC",
-			"benchmark", "suite", "baseline dead%", "mirage dead%")
-		var complete []experiments.Fig1Row
-		for i, r := range rows {
-			if ok[i] {
-				t.AddRow(r.Bench, r.Suite, r.DeadBaseline, r.DeadMirage)
-				complete = append(complete, r)
-			} else {
-				t.AddRow(r.Bench, r.Suite, "FAILED", "FAILED")
-			}
-		}
-		if len(complete) > 0 {
-			ab, am := experiments.Fig1Average(complete)
-			t.AddRow("AVERAGE", "", ab, am)
-		}
-		emit(t, len(rows)-len(complete))
-	}
-	runFig4 := func() {
-		rows, ok, _ := experiments.Fig4Sweep(ctx, runner, sc)
-		t := report.NewTable("Fig 4: Maya performance vs reuse ways per skew (SPEC homogeneous, normalized WS)",
-			"reuse ways/skew", "normalized WS")
-		incomplete := 0
-		for i, r := range rows {
-			if ok[i] {
-				t.AddRow(r.ReuseWays, r.NormWS)
-			} else {
-				t.AddRow(r.ReuseWays, "FAILED")
-				incomplete++
-			}
-		}
-		emit(t, incomplete)
-	}
-	runFig9Sweep := func() {
-		if fig9Rows == nil {
-			fig9Rows, fig9OK, _ = experiments.Fig9Sweep(ctx, runner, sc)
-			sortFig9WithMask(fig9Rows, fig9OK)
-		}
-	}
-	runFig9 := func() {
-		runFig9Sweep()
-		t := report.NewTable("Fig 9: 8-core homogeneous mixes (weighted speedup normalized to baseline)",
-			"benchmark", "suite", "Mirage", "Maya", "base MPKI", "mirage MPKI", "maya MPKI")
-		incomplete := 0
-		for i, r := range fig9Rows {
-			if fig9OK[i] {
-				t.AddRow(r.Bench, r.Suite, r.NormMirage, r.NormMaya, r.MPKIBase, r.MPKIMirage, r.MPKIMaya)
-			} else {
-				t.AddRow(r.Bench, r.Suite, "FAILED", "FAILED", "", "", "")
-				incomplete++
-			}
-		}
-		for _, s := range experiments.SummarizeFig9(maskRows(fig9Rows, fig9OK)) {
-			t.AddRow("GMEAN-"+s.Suite, "", s.NormMirage, s.NormMaya, "", "", "")
-		}
-		emit(t, incomplete)
-	}
-	runFig10Sweep := func() {
-		if fig10Rows == nil {
-			fig10Rows, fig10OK, _ = experiments.Fig10Sweep(ctx, runner, sc)
-		}
-	}
-	runFig10 := func() {
-		runFig10Sweep()
-		t := report.NewTable("Fig 10: 8-core heterogeneous mixes (weighted speedup normalized to baseline)",
-			"mix", "bin", "Mirage", "Maya")
-		incomplete := 0
-		for i, r := range fig10Rows {
-			if fig10OK[i] {
-				t.AddRow(r.Mix, string(r.Bin), r.NormMirage, r.NormMaya)
-			} else {
-				t.AddRow(r.Mix, string(r.Bin), "FAILED", "FAILED")
-				incomplete++
-			}
-		}
-		emit(t, incomplete)
-	}
-	runTable7 := func() {
-		runFig9Sweep()
-		runFig10Sweep()
-		t := report.NewTable("Table VII: average LLC MPKI", "workloads", "Baseline", "Mirage", "Maya")
-		for _, r := range experiments.Table7(maskRows(fig9Rows, fig9OK), maskRows(fig10Rows, fig10OK)) {
-			t.AddRow(r.Class, r.Baseline, r.Mirage, r.Maya)
-		}
-		emit(t, countFalse(fig9OK)+countFalse(fig10OK))
-	}
-	runTable11 := func() {
-		rows, ok, _ := experiments.Table11Sweep(ctx, runner, sc)
-		t := report.NewTable("Table XI: secure partitioning techniques (8-core, SPEC homogeneous)",
-			"technique", "performance %", "storage %")
-		incomplete := 0
-		for i, r := range rows {
-			if ok[i] {
-				t.AddRow(r.Technique, r.PerfDelta, r.StorageOver)
-			} else {
-				t.AddRow(r.Technique, "FAILED", r.StorageOver)
-				incomplete++
-			}
-		}
-		emit(t, incomplete)
-	}
-	runFitting := func() {
-		rows, ok, _ := experiments.FittingSweep(ctx, runner, sc)
-		t := report.NewTable("Section V-B: LLC-fitting benchmarks under Maya (normalized WS)",
-			"benchmark", "Maya/baseline")
-		var vals []float64
-		for i, r := range rows {
-			if ok[i] {
-				t.AddRow(r.Label, r.NormMaya)
-				vals = append(vals, r.NormMaya)
-			} else {
-				t.AddRow(r.Label, "FAILED")
-			}
-		}
-		if len(vals) > 0 {
-			t.AddRow("AVERAGE", metrics.Mean(vals))
-		}
-		emit(t, len(rows)-len(vals))
-	}
-	runCores := func() {
-		rows, ok, _ := experiments.CoreCountSweep(ctx, runner, sc, nil)
-		t := report.NewTable("Section V-B: core-count sensitivity (normalized WS)",
-			"system", "Maya/baseline")
-		incomplete := 0
-		for i, r := range rows {
-			if ok[i] {
-				t.AddRow(r.Label, r.NormMaya)
-			} else {
-				t.AddRow(r.Label, "FAILED")
-				incomplete++
-			}
-		}
-		emit(t, incomplete)
-	}
-	runLLCSize := func() {
-		rows, ok, _ := experiments.LLCSizeSweep(ctx, runner, sc, nil)
-		t := report.NewTable("Section V-B: LLC-size sensitivity (Maya data store, normalized WS)",
-			"configuration", "Maya/baseline")
-		incomplete := 0
-		for i, r := range rows {
-			if ok[i] {
-				t.AddRow(r.Label, r.NormMaya)
-			} else {
-				t.AddRow(r.Label, "FAILED")
-				incomplete++
-			}
-		}
-		emit(t, incomplete)
-	}
-
-	switch *exp {
-	case "fig1":
-		runFig1()
-	case "fig4":
-		runFig4()
-	case "fig9":
-		runFig9()
-	case "fig10":
-		runFig10()
-	case "table7":
-		runTable7()
-	case "table11":
-		runTable11()
-	case "fitting":
-		runFitting()
-	case "cores":
-		runCores()
-	case "llcsize":
-		runLLCSize()
-	case "all":
-		runFig1()
-		runFig9()
-		runFig10()
-		runTable7()
-		runFig4()
-		runTable11()
-		runFitting()
-		runCores()
-		runLLCSize()
 	}
 
 	if ctx.Err() != nil || trig.Fired() {
@@ -453,15 +274,6 @@ func mismatchOnly(fails []*harness.RunError) (string, bool) {
 	return field, true
 }
 
-func isValidExperiment(name string) bool {
-	for _, v := range validExperiments {
-		if name == v {
-			return true
-		}
-	}
-	return false
-}
-
 // suggestExperiments returns valid experiment names within edit distance 2
 // of the (unknown) input, closest first.
 func suggestExperiments(name string) []string {
@@ -502,64 +314,9 @@ func editDistance(a, b string) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// sortFig9WithMask applies the Fig 9 display order (SPEC first, then by
-// name) to rows and its completeness mask together.
-func sortFig9WithMask(rows []experiments.Fig9Row, ok []bool) {
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ra, rb := rows[idx[a]], rows[idx[b]]
-		if ra.Suite != rb.Suite {
-			return ra.Suite == "SPEC"
-		}
-		return ra.Bench < rb.Bench
-	})
-	outRows := make([]experiments.Fig9Row, len(rows))
-	outOK := make([]bool, len(ok))
-	for i, j := range idx {
-		outRows[i] = rows[j]
-		outOK[i] = ok[j]
-	}
-	copy(rows, outRows)
-	copy(ok, outOK)
-}
-
-// maskRows filters rows down to the complete ones.
-func maskRows[T any](rows []T, ok []bool) []T {
-	out := make([]T, 0, len(rows))
-	for i, r := range rows {
-		if ok[i] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func countFalse(mask []bool) int {
-	n := 0
-	for _, b := range mask {
-		if !b {
-			n++
-		}
-	}
-	return n
 }

@@ -9,16 +9,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"mayacache/internal/analytic"
 	"mayacache/internal/experiments"
-	"mayacache/internal/metrics"
+	"mayacache/internal/harness"
 	"mayacache/internal/power"
 	"mayacache/internal/report"
-	"mayacache/internal/trace"
 )
 
 func main() {
@@ -40,20 +40,24 @@ func main() {
 		fmt.Println()
 	}
 
+	ok := true
 	switch *table {
 	case "storage":
 		storageTable(emit)
 	case "energy":
 		energyTable(emit)
 	case "summary":
-		summaryTable(emit, *perf, *warmup, *roi)
+		ok = summaryTable(emit, *perf, *warmup, *roi)
 	case "all":
 		storageTable(emit)
 		energyTable(emit)
-		summaryTable(emit, *perf, *warmup, *roi)
+		ok = summaryTable(emit, *perf, *warmup, *roi)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(2)
+	}
+	if !ok {
+		os.Exit(1)
 	}
 }
 
@@ -119,42 +123,35 @@ func securityFor(d power.Design) string {
 	return analytic.FormatInstalls(dist.InstallsPerSAE(ways))
 }
 
-func summaryTable(emit func(*report.Table), perf bool, warmup, roi uint64) {
+// summaryTable renders Table X, simulating its performance column through
+// an experiments.Session when perf is set. It reports false when a
+// simulated cell failed; that design's performance reads FAILED.
+func summaryTable(emit func(*report.Table), perf bool, warmup, roi uint64) bool {
 	t := report.NewTable("Table X: security, storage, performance summary",
 		"design", "security (installs/SAE)", "storage", "performance")
-	designs := []struct {
-		p power.Design
-		e experiments.Design
-	}{
-		{power.Maya, experiments.DesignMaya},
-		{power.Mirage, experiments.DesignMirage},
-		{power.MirageLite, experiments.DesignMirageLite},
-		{power.MayaISO, experiments.DesignMayaISO},
-	}
-	perfCol := map[power.Design]string{}
+	designs := []power.Design{power.Maya, power.Mirage, power.MirageLite, power.MayaISO}
+	perfCol := map[string]string{}
+	runner := harness.New(harness.Options{})
 	if perf {
-		sc := experiments.Scale{WarmupInstr: warmup, ROIInstr: roi, Seed: 1, Parallel: true}
-		benches := trace.SpecMemIntensive()
-		for _, d := range designs {
-			var norms []float64
-			for _, b := range benches {
-				mix := []string{b, b, b, b, b, b, b, b}
-				base := experiments.RunMixDesign(b, mix, experiments.DesignBaseline, sc)
-				res := experiments.RunMixDesign(b, mix, d.e, sc)
-				norms = append(norms, res.WS/base.WS)
-			}
-			gm, _ := metrics.GeoMean(norms)
-			perfCol[d.p] = fmt.Sprintf("%+.2f%%", (gm-1)*100)
+		sc := experiments.Scale{WarmupInstr: warmup, ROIInstr: roi, Seed: 1}
+		rep, _ := experiments.NewSession(runner, sc).Run(context.Background(), experiments.Table10Perf())
+		for _, row := range rep.Rows {
+			perfCol[row[0]] = row[1]
 		}
 	}
 	for _, d := range designs {
-		st := power.Account(d.p)
-		perfStr, ok := perfCol[d.p]
+		st := power.Account(d)
+		perfStr, ok := perfCol[string(d)]
 		if !ok {
 			perfStr = "(run with -perf)"
 		}
-		t.AddRow(string(d.p), securityFor(d.p),
+		t.AddRow(string(d), securityFor(d),
 			fmt.Sprintf("%+.1f%%", st.OverheadVsBaseline()*100), perfStr)
 	}
 	emit(t)
+	if runner.Failed() {
+		runner.WriteFailureSummary(os.Stderr)
+		return false
+	}
+	return true
 }

@@ -9,7 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"mayacache/internal/cachesim"
 	"mayacache/internal/experiments"
@@ -73,15 +72,17 @@ func pct(a, b uint64) float64 {
 }
 
 func diag(bench string, d experiments.Design, cores int, warmup, roi, seed uint64) cachesim.Results {
-	if !valid(d) {
-		fmt.Fprintf(os.Stderr, "unknown design %q\n", d)
-		os.Exit(2)
-	}
 	gens := make([]trace.Generator, cores)
 	for i := range gens {
 		gens[i] = trace.MustGenerator(trace.MustLookup(bench), i, seed)
 	}
-	llc := experiments.NewLLC(d, experiments.LLCOptions{Cores: cores, Seed: seed, FastHash: true})
+	llc, err := experiments.NewLLCChecked(d, experiments.LLCOptions{Cores: cores, Seed: seed, FastHash: true})
+	if err != nil {
+		// Unknown designs and invalid geometry (cachemodel.ErrBadConfig)
+		// are usage errors.
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+		os.Exit(2)
+	}
 	sys := cachesim.New(cachesim.Config{
 		Cores: cores,
 		Core:  cachesim.DefaultCoreParams(),
@@ -95,16 +96,4 @@ func diag(bench string, d experiments.Design, cores int, warmup, roi, seed uint6
 		os.Exit(1)
 	}
 	return res
-}
-
-func valid(d experiments.Design) bool {
-	for _, k := range []experiments.Design{
-		experiments.DesignBaseline, experiments.DesignMirage, experiments.DesignMirageLite,
-		experiments.DesignMaya, experiments.DesignMayaISO,
-	} {
-		if d == k {
-			return true
-		}
-	}
-	return strings.EqualFold(string(d), "baseline")
 }

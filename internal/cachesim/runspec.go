@@ -1,10 +1,8 @@
 package cachesim
 
-// The unified run entrypoint. Historically the package grew four ways to
-// run a System — Run, RunCtx, ResumeCtx, and RunResumable — each adding
-// one orthogonal capability (panics→errors→resume→cell persistence). A
-// RunSpec expresses all of them, plus the deterministic parallel mode, in
-// one call; the legacy entrypoints remain as thin deprecated wrappers.
+// The run entrypoint: one RunSpec expresses every way to run a System —
+// fresh or resumed, plain or under a sweep cell's snapshot protocol,
+// serial or in the deterministic parallel mode.
 
 import (
 	"context"
@@ -25,7 +23,9 @@ var ErrSpent = errors.New("cachesim: system state consumed by a failed run; rebu
 type RunSpec struct {
 	// Warmup and ROI are the per-core instruction budgets for the two
 	// phases. Ignored when the System resumes from restored or cell state,
-	// which carries its own budgets.
+	// which carries its own budgets: a System given to RestoreState
+	// continues from wherever the snapshot was taken, mid-warmup or
+	// mid-ROI.
 	Warmup, ROI uint64
 
 	// Cell, when non-nil, runs under the sweep-cell snapshot protocol: a
@@ -50,26 +50,23 @@ type RunSpec struct {
 	SnapshotEvery uint64
 }
 
-// Run executes one simulation run described by spec. It subsumes the
-// legacy entrypoints:
-//
-//	sys.Run(w, r)                      → Run(ctx, sys, RunSpec{Warmup: w, ROI: r})
-//	sys.RunCtx(ctx, w, r)              → same
-//	sys.RestoreState(b); sys.ResumeCtx → sys.RestoreState(b); Run(ctx, sys, RunSpec{})
-//	RunResumable(ctx, sys, cell, sub, w, r) → Run(ctx, sys, RunSpec{Warmup: w, ROI: r, Cell: cell, Sub: sub})
+// Run executes one simulation run described by spec: warmup instructions
+// per core without statistics, then ROI instructions per core with
+// statistics. The drive loop polls ctx and abandons the simulation with
+// ctx.Err() when it is cancelled, which is how the experiment harness
+// implements per-cell timeouts and Ctrl-C.
 //
 // A tracker on the context (mc.WithTracker) streams retired-instruction
-// progress on every path. A System whose prior run failed returns
-// ErrSpent. On a deadline stop the partial state has been persisted to
-// the Cell and the error is snapshot.ErrStopped.
+// progress on every path. Simulation state is never rewound: after a
+// failed or cancelled run, every further run of the System returns
+// ErrSpent until RestoreState loads a snapshot into it. On a deadline
+// stop the partial state has been persisted to the Cell and the error is
+// snapshot.ErrStopped.
 func Run(ctx context.Context, sys *System, spec RunSpec) (Results, error) {
 	tracker := mc.TrackerFrom(ctx)
 	if spec.Cell == nil || !sys.Snapshottable() {
 		sys.SetProgress(tracker)
-		if sys.started {
-			return sys.resumeWith(ctx, spec.Parallelism)
-		}
-		return sys.runWith(ctx, spec.Warmup, spec.ROI, spec.Parallelism)
+		return sys.run(ctx, spec.Warmup, spec.ROI, spec.Parallelism)
 	}
 
 	var cached Results
@@ -87,20 +84,15 @@ func Run(ctx context.Context, sys *System, spec RunSpec) (Results, error) {
 		Trigger: spec.Cell.Trigger(),
 		Save:    func(state []byte) error { return spec.Cell.SaveSystem(spec.Sub, state) },
 	})
-	var res Results
-	var err error
 	if st := spec.Cell.SystemState(spec.Sub); st != nil {
-		if rerr := sys.RestoreState(st); rerr != nil {
-			return Results{}, fmt.Errorf("resume %q: %w", spec.Sub, rerr)
+		if err := sys.RestoreState(st); err != nil {
+			return Results{}, fmt.Errorf("resume %q: %w", spec.Sub, err)
 		}
-		// Installed after the restore so the tracker baseline is the
-		// resumed state: only instructions retired here are reported.
-		sys.SetProgress(tracker)
-		res, err = sys.resumeWith(ctx, spec.Parallelism)
-	} else {
-		sys.SetProgress(tracker)
-		res, err = sys.runWith(ctx, spec.Warmup, spec.ROI, spec.Parallelism)
 	}
+	// Installed after any restore so the tracker baseline is the resumed
+	// state: only instructions retired here are reported.
+	sys.SetProgress(tracker)
+	res, err := sys.run(ctx, spec.Warmup, spec.ROI, spec.Parallelism)
 	if err != nil {
 		return Results{}, err
 	}

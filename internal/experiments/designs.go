@@ -1,7 +1,3 @@
-// Package experiments wires workloads, cache designs, and the simulator
-// into the paper's numbered experiments. Every figure and table in the
-// evaluation has a function here; cmd tools and the benchmark harness are
-// thin wrappers over them.
 package experiments
 
 import (
@@ -69,19 +65,6 @@ func (o LLCOptions) buildOptions() cachemodel.BuildOptions {
 // cachemodel.ErrBadConfig for unknown designs or invalid geometry.
 func NewLLCChecked(d Design, opts LLCOptions) (cachemodel.LLC, error) {
 	return cachemodel.Build(string(d), opts.buildOptions())
-}
-
-// NewLLC constructs the named design scaled to opts.Cores.
-//
-// Deprecated: use NewLLCChecked, which reports configuration errors
-// instead of crashing; NewLLC remains for callers with statically
-// known-good designs.
-func NewLLC(d Design, opts LLCOptions) cachemodel.LLC {
-	llc, err := NewLLCChecked(d, opts)
-	if err != nil {
-		panic(err)
-	}
-	return llc
 }
 
 // AllDesigns returns the designs of the paper's headline comparison.

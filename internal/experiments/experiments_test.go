@@ -1,23 +1,35 @@
 package experiments
 
 import (
+	"context"
+	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 
+	"mayacache/internal/cachemodel"
+	"mayacache/internal/harness"
+	"mayacache/internal/report"
 	"mayacache/internal/trace"
 )
 
 // tiny keeps experiment tests fast; shapes are asserted loosely.
 func tiny() Scale {
-	return Scale{WarmupInstr: 200_000, ROIInstr: 100_000, Seed: 1, Parallel: true}
+	return Scale{WarmupInstr: 200_000, ROIInstr: 100_000, Seed: 1}
+}
+
+func mustLLC(t *testing.T, d Design, opts LLCOptions) cachemodel.LLC {
+	t.Helper()
+	llc, err := NewLLCChecked(d, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", d, err)
+	}
+	return llc
 }
 
 func TestNewLLCAllDesigns(t *testing.T) {
 	for _, d := range []Design{DesignBaseline, DesignMirage, DesignMirageLite, DesignMaya, DesignMayaISO} {
-		llc := NewLLC(d, LLCOptions{Cores: 1, Seed: 1, FastHash: true})
-		if llc == nil {
-			t.Fatalf("%s: nil LLC", d)
-		}
-		g := llc.Geometry()
+		g := mustLLC(t, d, LLCOptions{Cores: 1, Seed: 1, FastHash: true}).Geometry()
 		if g.DataEntries <= 0 {
 			t.Fatalf("%s: bad geometry %+v", d, g)
 		}
@@ -25,8 +37,8 @@ func TestNewLLCAllDesigns(t *testing.T) {
 }
 
 func TestNewLLCGeometryScaling(t *testing.T) {
-	one := NewLLC(DesignMaya, LLCOptions{Cores: 1, Seed: 1, FastHash: true}).Geometry()
-	eight := NewLLC(DesignMaya, LLCOptions{Cores: 8, Seed: 1, FastHash: true}).Geometry()
+	one := mustLLC(t, DesignMaya, LLCOptions{Cores: 1, Seed: 1, FastHash: true}).Geometry()
+	eight := mustLLC(t, DesignMaya, LLCOptions{Cores: 8, Seed: 1, FastHash: true}).Geometry()
 	if eight.DataEntries != 8*one.DataEntries {
 		t.Fatalf("data entries do not scale with cores: %d vs 8x%d", eight.DataEntries, one.DataEntries)
 	}
@@ -37,15 +49,17 @@ func TestNewLLCGeometryScaling(t *testing.T) {
 }
 
 func TestMayaOptionOverrides(t *testing.T) {
-	g := NewLLC(DesignMaya, LLCOptions{Cores: 1, Seed: 1, FastHash: true, ReuseWays: 7, InvalidWays: 5}).Geometry()
+	g := mustLLC(t, DesignMaya, LLCOptions{Cores: 1, Seed: 1, FastHash: true, ReuseWays: 7, InvalidWays: 5}).Geometry()
 	if g.WaysPerSkew != 6+7+5 {
 		t.Fatalf("ways per skew = %d, want 18", g.WaysPerSkew)
 	}
 }
 
 func TestRunMixDesignProducesWS(t *testing.T) {
-	sc := tiny()
-	res := RunMixDesign("m", []string{"xz", "xz"}, DesignBaseline, sc)
+	res, err := RunMixDesignCtx(context.Background(), "m", []string{"xz", "xz"}, DesignBaseline, tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.WS <= 0 || res.WS > 2.1 {
 		t.Fatalf("weighted speedup %v out of range for 2 cores", res.WS)
 	}
@@ -56,8 +70,14 @@ func TestRunMixDesignProducesWS(t *testing.T) {
 
 func TestAloneIPCMemoized(t *testing.T) {
 	sc := tiny()
-	a := AloneIPC("xz", sc)
-	b := AloneIPC("xz", sc)
+	a, err := AloneIPCCtx(context.Background(), "xz", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := AloneIPCCtx(context.Background(), "xz", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a != b {
 		t.Fatalf("memoized alone IPC differs: %v vs %v", a, b)
 	}
@@ -70,12 +90,18 @@ func TestFig1ShapesAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	sc := tiny()
-	rows := Fig1(sc)
-	if len(rows) != 20 {
-		t.Fatalf("%d Fig 1 rows, want 20", len(rows))
+	rep, err := NewSession(harness.New(harness.Options{}), tiny()).Run(context.Background(), Lookup("fig1"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	ab, _ := Fig1Average(rows)
+	if rep.Incomplete != 0 || len(rep.Rows) != 21 {
+		t.Fatalf("%d Fig 1 rows (%d incomplete), want 20 and an average", len(rep.Rows), rep.Incomplete)
+	}
+	avg := rep.Rows[20]
+	ab, err := strconv.ParseFloat(avg[2], 64)
+	if avg[0] != "AVERAGE" || err != nil {
+		t.Fatalf("last row %v is not the average", avg)
+	}
 	// The paper's headline observation: most LLC fills are dead.
 	if ab < 60 {
 		t.Fatalf("baseline average dead%% = %.1f, expected the >60%% regime even at tiny scale", ab)
@@ -83,82 +109,58 @@ func TestFig1ShapesAtTinyScale(t *testing.T) {
 }
 
 func TestSummarizeFig9(t *testing.T) {
-	rows := []Fig9Row{
+	rows := []fig9Row{
 		{Bench: "a", Suite: "SPEC", NormMirage: 1.0, NormMaya: 1.1},
 		{Bench: "b", Suite: "GAP", NormMirage: 0.9, NormMaya: 1.0},
 	}
-	sums := SummarizeFig9(rows)
-	if len(sums) != 3 { // SPEC, GAP, ALL
-		t.Fatalf("%d summaries", len(sums))
+	tab := report.NewTable("", "benchmark", "suite", "Mirage", "Maya")
+	addFig9Gmeans(tab, rows)
+	want := [][]string{
+		{"GMEAN-SPEC", "", "1.000", "1.100", "", "", ""},
+		{"GMEAN-GAP", "", "0.900", "1.000", "", "", ""},
+		{"GMEAN-ALL", "", "0.949", "1.049", "", "", ""},
 	}
-	for _, s := range sums {
-		if s.NormMaya <= 0 {
-			t.Fatalf("bad summary %+v", s)
-		}
+	if !reflect.DeepEqual(tab.Rows, want) {
+		t.Fatalf("summary rows %v, want %v", tab.Rows, want)
 	}
 }
 
 func TestTable7Aggregation(t *testing.T) {
-	fig9 := []Fig9Row{{Bench: "a", Suite: "SPEC", MPKIBase: 10, MPKIMirage: 9, MPKIMaya: 11}}
-	fig10 := []Fig10Row{
+	fig9 := []fig9Row{{Bench: "a", Suite: "SPEC", MPKIBase: 10, MPKIMirage: 9, MPKIMaya: 11}}
+	fig10 := []fig10Row{
 		{Mix: "M1", Bin: trace.BinLow, MPKIBase: 8, MPKIMirage: 8, MPKIMaya: 9},
 		{Mix: "M15", Bin: trace.BinHigh, MPKIBase: 21, MPKIMirage: 21, MPKIMaya: 22},
 	}
-	rows := Table7(fig9, fig10)
-	if len(rows) != 4 {
-		t.Fatalf("%d Table VII rows, want 4", len(rows))
+	tab := report.NewTable("", "workloads", "Baseline", "Mirage", "Maya")
+	addTable7Rows(tab, fig9, fig10)
+	if len(tab.Rows) != 4 {
+		t.Fatalf("%d Table VII rows, want 4", len(tab.Rows))
 	}
-	if rows[0].Baseline != 10 {
-		t.Fatalf("homogeneous baseline MPKI %v", rows[0].Baseline)
+	if got := tab.Rows[0]; got[0] != "SPEC and GAP-RATE" || got[1] != "10.000" {
+		t.Fatalf("homogeneous row %v", got)
 	}
 }
 
 func TestPartitionLLCKinds(t *testing.T) {
-	for _, k := range []string{"way", "set", "flex"} {
-		llc := newPartitionLLC(k, 8, 1)
-		if llc == nil {
-			t.Fatalf("%s: nil", k)
+	for _, k := range table11Kinds {
+		if llc := newPartitionLLC(k.kind, 8, 1); llc == nil {
+			t.Fatalf("%s: nil", k.name)
 		}
 	}
 }
 
+// TestSortFig9 pins the Fig 9 axis order: SPEC first, then by name.
 func TestSortFig9(t *testing.T) {
-	rows := []Fig9Row{
-		{Bench: "pr", Suite: "GAP"},
-		{Bench: "mcf", Suite: "SPEC"},
-		{Bench: "bc", Suite: "GAP"},
+	order, spec := fig9Order(), len(trace.SpecMemIntensive())
+	if len(order) != spec+len(trace.GapMemIntensive()) {
+		t.Fatalf("%d Fig 9 benchmarks", len(order))
 	}
-	SortFig9(rows)
-	if rows[0].Suite != "SPEC" || rows[1].Bench != "bc" {
-		t.Fatalf("bad order: %+v", rows)
+	for i, b := range order {
+		if want := map[bool]string{true: "SPEC", false: "GAP"}[i < spec]; suiteOf(b) != want {
+			t.Fatalf("benchmark %d (%s) is %s, want %s", i, b, suiteOf(b), want)
+		}
 	}
-}
-
-func TestRunMixDesignSeeds(t *testing.T) {
-	sc := tiny()
-	res := RunMixDesignSeeds("xz", []string{"xz", "xz"}, DesignBaseline, sc, 3)
-	if res.WS.N != 3 {
-		t.Fatalf("N = %d, want 3", res.WS.N)
-	}
-	if res.WS.Mean <= 0 {
-		t.Fatalf("mean WS %v", res.WS.Mean)
-	}
-	if res.WS.CI95 < 0 {
-		t.Fatalf("negative CI %v", res.WS.CI95)
-	}
-}
-
-func TestNormalizedAcrossSeeds(t *testing.T) {
-	sc := tiny()
-	st := NormalizedAcrossSeeds("lbm", []string{"lbm", "lbm"}, DesignMaya, sc, 2)
-	if st.N != 2 || st.Mean <= 0 {
-		t.Fatalf("bad stats %+v", st)
-	}
-}
-
-func TestSummarizeSingleton(t *testing.T) {
-	s := summarize([]float64{5})
-	if s.Mean != 5 || s.CI95 != 0 || s.Stddev != 0 {
-		t.Fatalf("singleton stats %+v", s)
+	if !slices.IsSorted(order[:spec]) || !slices.IsSorted(order[spec:]) {
+		t.Fatalf("bad order: %v", order)
 	}
 }

@@ -11,43 +11,71 @@ import (
 
 	"mayacache/internal/faults"
 	"mayacache/internal/harness"
+	"mayacache/internal/report"
 )
 
 // sweepScale is small enough that each cell simulates in well under a
-// second; the sweeps exercised here use 1- and 2-core mixes only.
+// second; the figures exercised here use 1- to 4-core mixes only.
 func sweepScale() Scale {
 	return Scale{WarmupInstr: 60_000, ROIInstr: 30_000, Seed: 1}
 }
 
-func TestSweepMatchesLegacySensitivity(t *testing.T) {
-	sc := sweepScale()
-	counts := []int{1, 2}
-	r := harness.New(harness.Options{Workers: 1})
-	rows, ok, err := CoreCountSweep(context.Background(), r, sc, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ok {
-		if !ok[i] {
-			t.Fatalf("cell %d incomplete", i)
+// runCores runs the core-count figure at the given counts in a fresh
+// session and returns its report, cell values and completeness flags.
+func runCores(ctx context.Context, r *harness.Runner, sc Scale, counts []int) (Report, []sensitivityRow, []bool, error) {
+	f := coresFigure(counts)
+	s := NewSession(r, sc)
+	rep, err := s.Run(ctx, f)
+	res := s.done[f.groups[0]]
+	return rep, res.vals.([]sensitivityRow), res.ok, err
+}
+
+func TestFigureNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, f := range Figures() {
+		if seen[f.Name] || f.Name == "all" {
+			t.Fatalf("figure name %q repeated or reserved", f.Name)
+		}
+		seen[f.Name] = true
+		if g := Lookup(f.Name); g == nil || g.Title != f.Title {
+			t.Fatalf("Lookup(%q) does not return its entry", f.Name)
 		}
 	}
-	if r.Failed() {
-		t.Fatalf("failures: %v", r.Failures())
+	if Lookup("all") != nil || Lookup(Table10Perf().Name) != nil {
+		t.Fatal("Lookup found a name outside the figure table")
 	}
-	legacy := CoreCountSensitivity(sc, counts)
-	if len(rows) != len(legacy) {
-		t.Fatalf("%d rows vs %d legacy", len(rows), len(legacy))
+}
+
+// TestSessionRunsSharedGroupOnce: figures sharing a cell group (Fig 9 and
+// Table VII) compute and report its cells once per session.
+func TestSessionRunsSharedGroupOnce(t *testing.T) {
+	var calls int32
+	g := group("shared", []string{"a", "b"}, func(_ context.Context, _ Scale, i int) (float64, error) {
+		atomic.AddInt32(&calls, 1)
+		return float64(i + 1), nil
+	})
+	sum := func(t *report.Table, res []groupResult) int {
+		total := 0.0
+		for _, v := range res[0].vals.([]float64) {
+			total += v
+		}
+		t.AddRow("sum", total)
+		return countFalse(res[0].ok)
 	}
-	for i := range rows {
-		if rows[i].Label != legacy[i].Label {
-			t.Fatalf("row %d label %q vs %q", i, rows[i].Label, legacy[i].Label)
+	a := &Figure{Name: "a", groups: []*cellGroup{g}, reduce: sum}
+	b := &Figure{Name: "b", groups: []*cellGroup{g}, reduce: sum}
+	s := NewSession(harness.New(harness.Options{Workers: 1}), sweepScale())
+	for _, f := range []*Figure{a, b} {
+		rep, err := s.Run(context.Background(), f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The sweep value passed through a JSON round-trip, which is exact
-		// for float64, so even the floats must match bit-for-bit.
-		if rows[i].NormMaya != legacy[i].NormMaya {
-			t.Fatalf("row %d norm %v vs %v", i, rows[i].NormMaya, legacy[i].NormMaya)
+		if got := rep.Rows[0][1]; got != "3.000" {
+			t.Fatalf("figure %s sum %s, want 3.000", f.Name, got)
 		}
+	}
+	if calls != 2 {
+		t.Fatalf("%d cell computations, want 2", calls)
 	}
 }
 
@@ -72,7 +100,7 @@ func TestSweepResumeMatchesFreshRun(t *testing.T) {
 		}
 		return nil
 	}})
-	_, ok1, err := CoreCountSweep(ctx1, r1, sc, counts)
+	rep1, _, ok1, err := runCores(ctx1, r1, sc, counts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep returned %v, want context.Canceled", err)
 	}
@@ -81,6 +109,9 @@ func TestSweepResumeMatchesFreshRun(t *testing.T) {
 	}
 	if !ok1[0] || ok1[1] || ok1[2] {
 		t.Fatalf("completion mask after interrupt: %v", ok1)
+	}
+	if rep1.Incomplete != 2 || rep1.Rows[1][1] != "FAILED" {
+		t.Fatalf("interrupted report: %d incomplete, rows %v", rep1.Incomplete, rep1.Rows)
 	}
 	if err := cp1.Close(); err != nil {
 		t.Fatal(err)
@@ -97,7 +128,7 @@ func TestSweepResumeMatchesFreshRun(t *testing.T) {
 		t.Fatalf("checkpoint holds %d cells, want 1", cp2.Len())
 	}
 	r2 := harness.New(harness.Options{Workers: 1, Checkpoint: cp2})
-	resumed, ok2, err := CoreCountSweep(context.Background(), r2, sc, counts)
+	repResumed, resumed, ok2, err := runCores(context.Background(), r2, sc, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +143,7 @@ func TestSweepResumeMatchesFreshRun(t *testing.T) {
 
 	// Uninterrupted reference run, no checkpoint at all.
 	r3 := harness.New(harness.Options{Workers: 1})
-	fresh, ok3, err := CoreCountSweep(context.Background(), r3, sc, counts)
+	repFresh, fresh, ok3, err := runCores(context.Background(), r3, sc, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +152,13 @@ func TestSweepResumeMatchesFreshRun(t *testing.T) {
 			t.Fatalf("fresh cell %d incomplete", i)
 		}
 	}
+	// Cell values pass through a JSON round-trip, which is exact for
+	// float64, so the resumed values must match bit for bit.
 	if !reflect.DeepEqual(resumed, fresh) {
-		t.Fatalf("resumed rows diverge from fresh run:\n%+v\nvs\n%+v", resumed, fresh)
+		t.Fatalf("resumed cells diverge from fresh run:\n%+v\nvs\n%+v", resumed, fresh)
+	}
+	if !reflect.DeepEqual(repResumed, repFresh) {
+		t.Fatalf("resumed report diverges from fresh run:\n%v\nvs\n%v", repResumed.Rows, repFresh.Rows)
 	}
 }
 
@@ -133,7 +169,7 @@ func TestSweepIsolatesInjectedFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := harness.New(harness.Options{Workers: 1, PreRun: hook})
-	rows, ok, err := CoreCountSweep(context.Background(), r, sc, []int{1, 2, 4})
+	rep, rows, ok, err := runCores(context.Background(), r, sc, []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,6 +178,9 @@ func TestSweepIsolatesInjectedFault(t *testing.T) {
 	}
 	if rows[0].NormMaya <= 0 || rows[2].NormMaya <= 0 {
 		t.Fatalf("sibling cells did not produce results: %+v", rows)
+	}
+	if want := []string{"2 cores", "FAILED"}; rep.Incomplete != 1 || !reflect.DeepEqual(rep.Rows[1], want) {
+		t.Fatalf("report row %v (%d incomplete), want %v", rep.Rows[1], rep.Incomplete, want)
 	}
 	fails := r.Failures()
 	if len(fails) != 1 {
@@ -165,7 +204,7 @@ func TestSweepKeysEmbedScale(t *testing.T) {
 	sc := sweepScale()
 	cp := harness.NewMemCheckpoint()
 	r := harness.New(harness.Options{Workers: 1, Checkpoint: cp})
-	if _, _, err := CoreCountSweep(context.Background(), r, sc, []int{1}); err != nil {
+	if _, _, _, err := runCores(context.Background(), r, sc, []int{1}); err != nil {
 		t.Fatal(err)
 	}
 	keys := cp.Keys()
@@ -180,7 +219,7 @@ func TestSweepKeysEmbedScale(t *testing.T) {
 	other := sc
 	other.Seed = 2
 	r2 := harness.New(harness.Options{Workers: 1, Checkpoint: cp})
-	if _, _, err := CoreCountSweep(context.Background(), r2, other, []int{1}); err != nil {
+	if _, _, _, err := runCores(context.Background(), r2, other, []int{1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, restored, _ := r2.Stats(); restored != 0 {

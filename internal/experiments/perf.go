@@ -7,54 +7,26 @@ import (
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/cachesim"
-	"mayacache/internal/harness"
-	"mayacache/internal/rng"
+	"mayacache/internal/metrics"
+	"mayacache/internal/snapshot"
+	"mayacache/internal/trace"
 )
 
 // Scale controls simulation effort. The paper runs 200M warmup + 200M ROI
-// instructions per core; the default here is scaled down so the full
-// experiment suite completes in minutes, with shapes already stable.
+// instructions per core; the command-line tools default to a scaled-down
+// budget so the full experiment suite completes in minutes, with shapes
+// already stable.
 type Scale struct {
 	WarmupInstr uint64
 	ROIInstr    uint64
 	Seed        uint64
-	Parallel    bool // run independent configurations on all CPUs
-	// IntraParallelism forwards to cachesim.RunSpec.Parallelism: worker
-	// goroutines inside each simulation (0/1 = serial). Like Parallel it
-	// is a scheduling knob only — results are identical at any value.
-	IntraParallelism int
-	// StreamSeeds selects rng.Stream(Seed, i) derivation for multi-seed
-	// sweeps. When false (default) they keep the historical Seed+i
-	// scheme, so existing pinned results stay valid.
-	StreamSeeds bool
 }
 
-// seedFor derives the i-th seed of a multi-seed sweep.
-func (sc Scale) seedFor(i int) uint64 {
-	if sc.StreamSeeds {
-		return rng.Stream(sc.Seed, uint64(i))
-	}
-	return sc.Seed + uint64(i)
-}
-
-// QuickScale is the default reduced scale.
-func QuickScale() Scale {
-	return Scale{WarmupInstr: 2_000_000, ROIInstr: 1_000_000, Seed: 1, Parallel: true}
-}
-
-// TinyScale is for unit tests and -short benchmarks.
-func TinyScale() Scale {
-	return Scale{WarmupInstr: 300_000, ROIInstr: 200_000, Seed: 1}
-}
-
-// runMix simulates one workload assignment under one LLC. It is the
-// non-context legacy entry point; harness-routed sweeps use runMixCtx.
-func runMix(benchNames []string, llc cachemodel.LLC, sc Scale) cachesim.Results {
-	res, err := runMixCtx(context.Background(), "mix|"+llc.Name(), benchNames, llc, sc)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return res
+// scaleKey renders the scale portion of a cell key. Every cell key embeds
+// it, so a checkpoint taken at one scale can never satisfy a lookup at
+// another.
+func scaleKey(sc Scale) string {
+	return fmt.Sprintf("w=%d|roi=%d|seed=%d", sc.WarmupInstr, sc.ROIInstr, sc.Seed)
 }
 
 // dramFor scales channels with core count (2 channels per 8 cores).
@@ -77,12 +49,48 @@ func homogeneous(bench string, n int) []string {
 	return names
 }
 
-// aloneIPCCache memoizes single-core baseline IPCs per (bench, scale).
+// runMixCtx simulates one workload assignment under one LLC, honoring
+// ctx cancellation and returning trace/construction failures as errors.
+// sub names this sub-run within its cell ("mix|<design>",
+// "alone|<bench>"); when the harness attached a snapshot.Cell to ctx the
+// run goes through the checkpointing path of cachesim.Run, so completed
+// sub-runs are served from the cell record, an interrupted one resumes
+// mid-simulation, and deadline stops persist state before returning
+// snapshot.ErrStopped.
+func runMixCtx(ctx context.Context, sub string, benchNames []string, llc cachemodel.LLC, sc Scale) (cachesim.Results, error) {
+	gens := make([]trace.Generator, len(benchNames))
+	for i, b := range benchNames {
+		p, err := trace.Lookup(b)
+		if err != nil {
+			return cachesim.Results{}, err
+		}
+		g, err := trace.NewGenerator(p, i, sc.Seed)
+		if err != nil {
+			return cachesim.Results{}, err
+		}
+		gens[i] = g
+	}
+	sys := cachesim.New(cachesim.Config{
+		Cores: len(benchNames),
+		Core:  cachesim.DefaultCoreParams(),
+		LLC:   llc,
+		DRAM:  dramFor(len(benchNames)),
+		Seed:  sc.Seed,
+	}, gens)
+	return cachesim.Run(ctx, sys, cachesim.RunSpec{
+		Warmup: sc.WarmupInstr,
+		ROI:    sc.ROIInstr,
+		Cell:   snapshot.CellFrom(ctx),
+		Sub:    sub,
+	})
+}
+
+// aloneKey memoizes single-core baseline IPCs per (bench, scale).
 type aloneKey struct {
-	bench  string
-	warm   uint64
-	roi    uint64
-	seed   uint64
+	bench string
+	warm  uint64
+	roi   uint64
+	seed  uint64
 }
 
 var (
@@ -90,14 +98,30 @@ var (
 	aloneCache = map[aloneKey]float64{}
 )
 
-// AloneIPC returns the benchmark's single-core IPC on a private 2MB
-// baseline LLC — the denominator of the weighted-speedup metric.
-func AloneIPC(bench string, sc Scale) float64 {
-	v, err := AloneIPCCtx(context.Background(), bench, sc)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+// AloneIPCCtx returns the benchmark's single-core IPC on a private 2MB
+// baseline LLC — the denominator of the weighted-speedup metric. Results
+// are memoized per (bench, scale); failed computations are not.
+func AloneIPCCtx(ctx context.Context, bench string, sc Scale) (float64, error) {
+	k := aloneKey{bench, sc.WarmupInstr, sc.ROIInstr, sc.Seed}
+	aloneMu.Lock()
+	v, ok := aloneCache[k]
+	aloneMu.Unlock()
+	if ok {
+		return v, nil
 	}
-	return v
+	llc, err := NewLLCChecked(DesignBaseline, LLCOptions{Cores: 1, Seed: sc.Seed})
+	if err != nil {
+		return 0, err
+	}
+	res, err := runMixCtx(ctx, "alone|"+bench, []string{bench}, llc, sc)
+	if err != nil {
+		return 0, err
+	}
+	v = res.Cores[0].IPC
+	aloneMu.Lock()
+	aloneCache[k] = v
+	aloneMu.Unlock()
+	return v, nil
 }
 
 // MixResult is one (mix, design) performance measurement.
@@ -110,40 +134,39 @@ type MixResult struct {
 	LLCStats cachemodel.Stats
 }
 
-// RunMixDesign simulates the benchmark assignment under the named design
-// and computes the weighted speedup against single-core baseline IPCs.
-func RunMixDesign(mixName string, benchNames []string, d Design, sc Scale) MixResult {
-	res, err := RunMixDesignCtx(context.Background(), mixName, benchNames, d, sc)
+// RunMixDesignCtx simulates the benchmark assignment under the named
+// design and computes the weighted speedup against single-core baseline
+// IPCs.
+func RunMixDesignCtx(ctx context.Context, mixName string, benchNames []string, d Design, sc Scale) (MixResult, error) {
+	llc, err := NewLLCChecked(d, LLCOptions{Cores: len(benchNames), Seed: sc.Seed, FastHash: true})
 	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+		return MixResult{}, err
 	}
-	return res
+	return RunMixLLCCtx(ctx, mixName, benchNames, d, llc, sc)
 }
 
-// RunMixLLC is RunMixDesign with a caller-supplied LLC instance (used for
-// configuration sweeps like Fig 4's reuse-way study).
-func RunMixLLC(mixName string, benchNames []string, d Design, llc cachemodel.LLC, sc Scale) MixResult {
-	res, err := RunMixLLCCtx(context.Background(), mixName, benchNames, d, llc, sc)
+// RunMixLLCCtx is RunMixDesignCtx with a caller-supplied LLC instance
+// (used for configuration sweeps like Fig 4's reuse-way study).
+func RunMixLLCCtx(ctx context.Context, mixName string, benchNames []string, d Design, llc cachemodel.LLC, sc Scale) (MixResult, error) {
+	res, err := runMixCtx(ctx, "mix|"+llc.Name(), benchNames, llc, sc)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+		return MixResult{}, err
 	}
-	return res
-}
-
-// parallelFor runs f(i) for i in [0, n), optionally across CPUs, through
-// the harness's bounded pool. Panics in f are recovered by the pool and
-// re-raised here, preserving the legacy fail-fast behavior for callers
-// that have not adopted the harness error path.
-func parallelFor(n int, parallel bool, f func(i int)) {
-	workers := 1
-	if parallel {
-		workers = harness.DefaultWorkers()
+	ipcs := make([]float64, len(res.Cores))
+	alone := make([]float64, len(res.Cores))
+	for i, c := range res.Cores {
+		ipcs[i] = c.IPC
+		alone[i], err = AloneIPCCtx(ctx, benchNames[i], sc)
+		if err != nil {
+			return MixResult{}, err
+		}
 	}
-	err := harness.ParallelFor(context.Background(), workers, n, func(_ context.Context, i int) error {
-		f(i)
-		return nil
-	})
+	ws, err := metrics.WeightedSpeedup(ipcs, alone)
 	if err != nil {
-		panic(err)
+		return MixResult{}, fmt.Errorf("experiments: %w", err)
 	}
+	return MixResult{
+		Mix: mixName, Design: d, WS: ws, MPKI: res.MPKI(),
+		IPCs: ipcs, LLCStats: res.LLCStats,
+	}, nil
 }

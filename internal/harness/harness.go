@@ -1,6 +1,6 @@
 // Package harness is the resilient sweep-execution layer for the
 // experiment drivers. The paper's evaluation is reproduced as long
-// multi-seed, multi-configuration sweeps; a single panic anywhere in the
+// multi-configuration sweeps; a single panic anywhere in the
 // simulator previously tore down an entire `mayasim -experiment all` run
 // with no partial results. The harness turns each sweep cell — one
 // (mix, design, seed) simulation — into an isolated unit of work:
@@ -156,7 +156,7 @@ type Options struct {
 	// CellTimeout is the per-cell deadline; 0 disables it. A timed-out
 	// cell fails with context.DeadlineExceeded (wrapped in a RunError);
 	// the simulator observes the cancellation cooperatively via
-	// cachesim.System.RunCtx, so the cell's goroutine exits promptly.
+	// cachesim.Run, so the cell's goroutine exits promptly.
 	CellTimeout time.Duration
 	// Retries is how many times a cell failing with a Transient error is
 	// re-run (total attempts = Retries+1). Non-transient failures are
@@ -357,8 +357,8 @@ func Backoff(seed uint64, key string, k int, base, cap time.Duration) time.Durat
 // goroutines, recovering panics into errors. It stops launching new work
 // once ctx is cancelled (in-flight calls observe ctx cooperatively) and
 // returns the joined errors of all failed iterations plus ctx.Err() when
-// cancelled. It is the bounded pool underneath RunCells, exported for
-// drivers (multi-seed statistics) that need raw parallelism with panic
+// cancelled. It is the bounded pool underneath RunCells, exported for the
+// Monte-Carlo engine (internal/mc), which needs raw parallelism with panic
 // isolation but no checkpointing.
 func ParallelFor(ctx context.Context, workers, n int, f func(ctx context.Context, i int) error) error {
 	if workers <= 0 {

@@ -1,5 +1,5 @@
 // Package mc is the shard-parallel Monte-Carlo engine underneath the
-// security models, the attack-trial drivers, and the multi-seed sweeps.
+// security models and the attack trials.
 //
 // The paper's security argument is sample-count arithmetic — "no SAE in
 // 10^12+ ball throws" (Figs 6/7, Tables I/IV), with Mirage extrapolating
@@ -242,9 +242,9 @@ func (t *Tracker) Total() uint64 {
 type trackerCtxKey struct{}
 
 // WithTracker attaches a Tracker to ctx so layers that cannot take one as
-// a parameter (the simulator behind cachesim.RunResumable) can still
-// report progress. A nil tracker is fine: TrackerFrom returns it and all
-// Tracker methods are nil-safe.
+// a parameter (cachesim.Run, reached through internal/experiments) can
+// still report progress. A nil tracker is fine: TrackerFrom returns it and
+// all Tracker methods are nil-safe.
 func WithTracker(ctx context.Context, t *Tracker) context.Context {
 	return context.WithValue(ctx, trackerCtxKey{}, t)
 }
