@@ -33,7 +33,7 @@ vet:
 # and ball-count invariants on every run, and the fault-injection tests
 # prove the audits fire on corrupted tag stores.
 check:
-	$(GO) test -tags mayacheck ./internal/core/... ./internal/mirage/... ./internal/buckets/... ./internal/cachesim/... ./internal/faults/...
+	$(GO) test -tags mayacheck ./internal/core/... ./internal/mirage/... ./internal/buckets/... ./internal/cachesim/... ./internal/faults/... ./internal/prince/... ./internal/ceaser/... ./internal/baseline/...
 
 # race runs the race detector over the multi-core simulator paths, the
 # concurrent sweep harness, and the shard-parallel Monte-Carlo engine
@@ -135,7 +135,7 @@ bench:
 	$(GO) run ./cmd/mayabench -quick -out BENCH.json
 
 # bench-profile runs just the micro tier (the LLC access path, both the
-# fast-hash overhead rows and the real-PRINCE memoized rows) under the CPU
+# fast-hash overhead rows and the real-PRINCE rows) under the CPU
 # profiler and prints the ten hottest functions by flat time — the
 # shortest loop for "where did the ns/access go".
 bench-profile:
@@ -150,6 +150,7 @@ bench-profile:
 # normal `go test` runs.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzEncryptDecryptRoundTrip -fuzztime=10s ./internal/prince/
+	$(GO) test -run=^$$ -fuzz=FuzzMemoIndexes -fuzztime=10s ./internal/prince/
 	$(GO) test -run=^$$ -fuzz=FuzzReadEvents$$ -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzReadEventsRoundTrip -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot/

@@ -28,7 +28,7 @@ echo "==> race detector (mayavet parallel loader + analyzer pool)"
 go test -race ./internal/vet/ ./cmd/mayavet/
 
 echo "==> invariant-checked tests (-tags mayacheck)"
-go test -tags mayacheck ./internal/core/... ./internal/mirage/... ./internal/buckets/... ./internal/cachesim/... ./internal/faults/...
+go test -tags mayacheck ./internal/core/... ./internal/mirage/... ./internal/buckets/... ./internal/cachesim/... ./internal/faults/... ./internal/prince/... ./internal/ceaser/... ./internal/baseline/...
 
 echo "==> race detector (multi-core simulator paths)"
 go test -race ./internal/cachesim/... ./internal/core/... ./internal/experiments/... ./internal/harness/... ./internal/faults/... ./internal/snapshot/...
@@ -260,15 +260,18 @@ test -s "$TMP/BENCH.json"
 grep -q '"mc"' "$TMP/BENCH.json"
 grep -q '"serve"' "$TMP/BENCH.json"
 grep -q '"parallelism"' "$TMP/BENCH.json"
-# The real-hash micro tier must report memo telemetry: a memoized row with
-# no hit-rate field means the memo silently disabled itself.
+# The real-hash micro tier must report memo telemetry: a PRINCE row with
+# no hit-rate field means the randomizer's index memo stopped counting.
 grep -q '"real_hash"' "$TMP/BENCH.json"
 grep -q '"memo_hit_rate"' "$TMP/BENCH.json"
 
 echo "==> bench: memo-off golden byte-match"
-# Disabling index memoization must not move a single result bit: the
-# golden end-to-end fixtures are regenerated with the memo forced off and
-# byte-compared against the committed (memo-on) encodings.
+# The PRINCE randomizer's index memo must not move a single result bit:
+# the golden end-to-end fixtures are regenerated on memo-off twins (an
+# unmemoized PRINCE hasher) and byte-compared against the committed
+# encodings, and the memo itself must equal the raw cipher under every
+# interleaving of rekeys, epoch restores and slot collisions.
 go test ./internal/bench -run 'TestGoldenMemoOff' -count=1
+go test ./internal/prince -run 'TestMemo|FuzzMemoIndexes' -count=1
 
 echo "ci: all green"

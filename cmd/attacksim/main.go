@@ -47,6 +47,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "attacksim: -workers must be >= 1, got %d\n", *workers)
 		return 2
 	}
+	if *sets < 2 || *sets&(*sets-1) != 0 {
+		fmt.Fprintf(os.Stderr, "attacksim: -sets must be a power of two >= 2, got %d\n", *sets)
+		return 2
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -92,8 +96,8 @@ type designUnderAttack struct {
 	occupancy int
 }
 
-// mustLLC unwraps a checked constructor; attacksim's geometries are
-// static, so a construction error is a programming bug.
+// mustLLC unwraps a checked constructor; run validates -sets, so a
+// construction error is a programming bug.
 func mustLLC(c cachemodel.LLC, err error) cachemodel.LLC {
 	if err != nil {
 		panic(err)

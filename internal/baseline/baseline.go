@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"mayacache/internal/cachemodel"
+	"mayacache/internal/invariant"
 	"mayacache/internal/probe"
 	"mayacache/internal/rng"
 )
@@ -32,12 +33,6 @@ type Config struct {
 	MatchSDID bool
 	// NamePrefix overrides the reported name.
 	NamePrefix string
-	// NoSWAR disables the packed-fingerprint SWAR probe path (scalar
-	// per-way scan instead). Results are identical either way.
-	NoSWAR bool
-	// NoArena allocates the arrays individually instead of carving them
-	// from one flat arena. Layout only; results identical.
-	NoArena bool
 }
 
 // Per-way metadata is packed into one uint32 (flags in bits 0-2, the
@@ -110,7 +105,7 @@ type SetAssoc struct {
 	// of the line, 0 when invalid), fpWords words per set: the lookup
 	// scan SWAR-compares a whole set per packed word and the miss path
 	// finds the first free way from the zero lanes, both verified against
-	// lineArr/meta. Nil when cfg.NoSWAR.
+	// lineArr/meta.
 	fpArr   []uint64 //mayavet:ignore snapshotfields -- derived: rebuilt from meta on restore
 	fpWords int
 }
@@ -129,19 +124,12 @@ func NewChecked(cfg Config) (*SetAssoc, error) {
 	nWays := cfg.Sets * cfg.Ways
 	fpWords := probe.WordsFor(cfg.Ways)
 	nFP := cfg.Sets * fpWords
-	if cfg.NoSWAR {
-		nFP = 0
-	}
-	// One flat arena for the parallel arrays, probe-hottest first; Alloc
-	// falls back to standalone allocations on a nil arena (NoArena).
-	var ar *probe.Arena
-	if !cfg.NoArena {
-		ar = probe.NewArena(
-			probe.Size[uint64](nFP) +
-				probe.Size[uint64](nWays) + // lineArr
-				probe.Size[uint32](nWays) + // meta
-				probe.Size[int32](2*cfg.Sets)) // validCnt + mru
-	}
+	// One flat arena for the parallel arrays, probe-hottest first.
+	ar := probe.NewArena(
+		probe.Size[uint64](nFP) +
+			probe.Size[uint64](nWays) + // lineArr
+			probe.Size[uint32](nWays) + // meta
+			probe.Size[int32](2*cfg.Sets)) // validCnt + mru
 	c := &SetAssoc{
 		cfg:      cfg,
 		sets:     cfg.Sets,
@@ -155,6 +143,9 @@ func NewChecked(cfg Config) (*SetAssoc, error) {
 		meta:     probe.Alloc[uint32](ar, nWays),
 		validCnt: probe.Alloc[int32](ar, cfg.Sets),
 		mru:      probe.Alloc[int32](ar, cfg.Sets),
+	}
+	if invariant.Enabled {
+		invariant.Check(ar.Overflows() == 0, "baseline: arena undersized: %d allocations fell back to the heap", ar.Overflows())
 	}
 	if c.hasher == nil {
 		c.hasher = cachemodel.NewModuloHasher(log2(cfg.Sets))
@@ -188,9 +179,6 @@ func log2(n int) uint {
 // setFP writes global way index i's packed probe fingerprint (0 marks
 // invalid). Called everywhere lineArr/meta flip validity or identity.
 func (c *SetAssoc) setFP(i int, fp uint16) {
-	if c.fpArr == nil {
-		return
-	}
 	set := i / c.ways
 	probe.Set(c.fpArr[set*c.fpWords:], i-set*c.ways, fp)
 }
@@ -225,32 +213,22 @@ func (c *SetAssoc) Access(a cachemodel.Access) cachemodel.Result {
 			return c.hit(a, idx, h, &meta[h])
 		}
 	}
-	if c.fpArr != nil {
-		// SWAR scan: flagged lanes are visited lowest-first and verified
-		// against lineArr/meta, so the first verified hit is the same way
-		// the scalar scan would return.
-		bfp := probe.Broadcast(probe.Fingerprint(a.Line))
-		words := c.fpArr[idx*c.fpWords : (idx+1)*c.fpWords]
-		for wi := range words {
-			cand := probe.Candidates(words[wi], bfp)
-			for cand != 0 {
-				var lane int
-				lane, cand = probe.NextLane(cand)
-				w := wi*probe.LanesPerWord + lane
-				if w >= c.ways {
-					// Padding lanes hold fingerprint 0 and only flag as
-					// false positives; the rest of the word is padding.
-					break
-				}
-				if lines[w] == a.Line {
-					if mv := meta[w]; mv&metaValid != 0 && (!matchSD || metaSDID(mv) == a.SDID) {
-						return c.hit(a, idx, w, &meta[w])
-					}
-				}
+	// SWAR scan: flagged lanes are visited lowest-first and verified
+	// against lineArr/meta, so the first verified hit is the same way a
+	// per-way scan would return.
+	bfp := probe.Broadcast(probe.Fingerprint(a.Line))
+	words := c.fpArr[idx*c.fpWords : (idx+1)*c.fpWords]
+	for wi := range words {
+		cand := probe.Candidates(words[wi], bfp)
+		for cand != 0 {
+			var lane int
+			lane, cand = probe.NextLane(cand)
+			w := wi*probe.LanesPerWord + lane
+			if w >= c.ways {
+				// Padding lanes hold fingerprint 0 and only flag as
+				// false positives; the rest of the word is padding.
+				break
 			}
-		}
-	} else {
-		for w := range lines {
 			if lines[w] == a.Line {
 				if mv := meta[w]; mv&metaValid != 0 && (!matchSD || metaSDID(mv) == a.SDID) {
 					return c.hit(a, idx, w, &meta[w])
@@ -268,26 +246,16 @@ func (c *SetAssoc) Access(a cachemodel.Access) cachemodel.Result {
 	}
 	way := -1
 	if int(c.validCnt[idx]) < c.ways {
-		if c.fpArr != nil {
-			// Invalid ways hold fingerprint 0 and Fingerprint never
-			// returns 0, so the lowest zero lane (always a true zero) is
-			// exactly the first invalid way the scalar scan would find.
-			words := c.fpArr[idx*c.fpWords : (idx+1)*c.fpWords]
-			for wi := range words {
-				if z := probe.ZeroLanes(words[wi]); z != 0 {
-					lane, _ := probe.NextLane(z)
-					if w := wi*probe.LanesPerWord + lane; w < c.ways {
-						way = w
-					}
-					break
-				}
-			}
-		} else {
-			for w := range meta {
-				if meta[w]&metaValid == 0 {
+		// Invalid ways hold fingerprint 0 and Fingerprint never returns
+		// 0, so the lowest zero lane (always a true zero) is exactly the
+		// first invalid way a per-way scan would find.
+		for wi := range words {
+			if z := probe.ZeroLanes(words[wi]); z != 0 {
+				lane, _ := probe.NextLane(z)
+				if w := wi*probe.LanesPerWord + lane; w < c.ways {
 					way = w
-					break
 				}
+				break
 			}
 		}
 	}

@@ -56,10 +56,6 @@ type Options struct {
 	Quick bool
 	// Seed drives all randomness; 0 means the pinned default (1).
 	Seed uint64
-	// MemoOff disables the designs' epoch-tagged index memo tables
-	// (probe.Memo), so a run pair quantifies what the memo buys. Results
-	// are identical either way; only ns/access moves.
-	MemoOff bool
 	// MicroOnly runs just the micro tier (used by `make bench-profile`,
 	// where the profile should capture the access path alone).
 	MicroOnly bool
@@ -72,18 +68,17 @@ type MicroResult struct {
 	// RealHash distinguishes the two micro tiers. False is the historical
 	// overhead tier: the XorHasher stands in for PRINCE so the row
 	// measures simulator bookkeeping, comparable across all commits. True
-	// is the real tier: the design's production hasher (PRINCE for the
-	// randomized designs) with the index memo on, measuring what a
+	// is the real tier: the design's production hasher (PRINCE, with its
+	// index memo, for the randomized designs), measuring what a
 	// paper-faithful simulation actually costs per access.
 	RealHash        bool    `json:"real_hash,omitempty"`
 	NsPerAccess     float64 `json:"ns_per_access"`
 	AllocsPerAccess float64 `json:"allocs_per_access"`
 	BytesPerAccess  float64 `json:"bytes_per_access"`
-	// Memo telemetry for the timed region: index-memo hits/misses and the
-	// hit fraction. Zero across the board when the design has no memo
-	// (Baseline), the row is overhead-tier (memoizing a three-instruction
-	// hash is a measured loss, so the xor tier runs memo-free), or the run
-	// disabled it (Options.MemoOff).
+	// Memo telemetry for the timed region: the PRINCE randomizer's
+	// index-memo hits/misses and the hit fraction. Zero across the board
+	// when the design's hasher has no memo: Baseline, and every
+	// overhead-tier row (the XorHasher is a plain loop).
 	MemoHits    uint64  `json:"memo_hits,omitempty"`
 	MemoMisses  uint64  `json:"memo_misses,omitempty"`
 	MemoHitRate float64 `json:"memo_hit_rate,omitempty"`
@@ -150,22 +145,12 @@ type Report struct {
 // buildLLC constructs a design through the registry at the bench's pinned
 // geometry. FastHash keeps micro/macro numbers about simulator overhead
 // rather than PRINCE throughput; the golden fixtures use the real hasher.
-func buildLLC(design string, cores int, seed uint64, fastHash bool, memoBits int) (cachemodel.LLC, error) {
+func buildLLC(design string, cores int, seed uint64, fastHash bool) (cachemodel.LLC, error) {
 	return cachemodel.Build(design, cachemodel.BuildOptions{
 		Cores:    cores,
 		Seed:     seed,
 		FastHash: fastHash,
-		MemoBits: memoBits,
 	})
-}
-
-// memoBits maps Options.MemoOff onto the BuildOptions knob: 0 is the
-// design default, negative disables the memo outright.
-func memoBits(off bool) int {
-	if off {
-		return -1
-	}
-	return 0
 }
 
 // accessStream precomputes a deterministic single-core access sequence
@@ -194,11 +179,16 @@ func accessStream(n int, seed uint64) ([]cachemodel.Access, error) {
 
 // RunMicro measures one design's access path over `accesses` operations
 // after a full warmup pass, reporting wall time and allocation deltas.
-func RunMicro(design string, accesses uint64, seed uint64, realHash bool, memo int) (MicroResult, error) {
-	llc, err := buildLLC(design, 1, seed, !realHash, memo)
+func RunMicro(design string, accesses uint64, seed uint64, realHash bool) (MicroResult, error) {
+	llc, err := buildLLC(design, 1, seed, !realHash)
 	if err != nil {
 		return MicroResult{}, err
 	}
+	return runMicroLLC(design, llc, accesses, seed, realHash)
+}
+
+// runMicroLLC is RunMicro on an already built cache.
+func runMicroLLC(design string, llc cachemodel.LLC, accesses, seed uint64, realHash bool) (MicroResult, error) {
 	const streamLen = 1 << 16
 	stream, err := accessStream(streamLen, seed)
 	if err != nil {
@@ -260,10 +250,10 @@ func (c *countingGen) Name() string      { return c.g.Name() }
 // CompareMacro regression gate needs to hold a tight tolerance.
 const macroReps = 3
 
-func bestMacro(design string, warmup, roi, seed uint64, parallelism, memo int) (MacroResult, error) {
+func bestMacro(design string, warmup, roi, seed uint64, parallelism int) (MacroResult, error) {
 	var best MacroResult
 	for i := 0; i < macroReps; i++ {
-		m, err := RunMacro(design, DefaultMix(), warmup, roi, seed, parallelism, memo)
+		m, err := RunMacro(design, DefaultMix(), warmup, roi, seed, parallelism)
 		if err != nil {
 			return MacroResult{}, err
 		}
@@ -276,8 +266,8 @@ func bestMacro(design string, warmup, roi, seed uint64, parallelism, memo int) (
 
 // RunMacro measures one design's full-system simulation throughput over
 // the given mix, under the given run parallelism (<= 1 serial).
-func RunMacro(design string, mix []string, warmup, roi, seed uint64, parallelism, memo int) (MacroResult, error) {
-	llc, err := buildLLC(design, len(mix), seed, true, memo)
+func RunMacro(design string, mix []string, warmup, roi, seed uint64, parallelism int) (MacroResult, error) {
+	llc, err := buildLLC(design, len(mix), seed, true)
 	if err != nil {
 		return MacroResult{}, err
 	}
@@ -400,24 +390,23 @@ func Run(opts Options) (*Report, error) {
 		Quick:     opts.Quick,
 		Seed:      seed,
 	}
-	memo := memoBits(opts.MemoOff)
-	// Overhead tier: XorHasher, memo off — bookkeeping cost, comparable
-	// with every historical baseline row.
+	// Overhead tier: XorHasher — bookkeeping cost, comparable with every
+	// historical baseline row.
 	for _, d := range Designs() {
-		m, err := RunMicro(d, microAccesses, seed, false, -1)
+		m, err := RunMicro(d, microAccesses, seed, false)
 		if err != nil {
 			return nil, fmt.Errorf("micro %s: %w", d, err)
 		}
 		r.Micro = append(r.Micro, m)
 	}
-	// Real tier: the production PRINCE hasher with the index memo, for the
-	// randomized designs the memo exists for. (Baseline is physically
-	// indexed — its real row would duplicate the overhead row.)
+	// Real tier: the production PRINCE hasher, with its index memo, for
+	// the randomized designs. (Baseline is physically indexed — its real
+	// row would duplicate the overhead row.)
 	for _, d := range Designs() {
 		if d == "Baseline" {
 			continue
 		}
-		m, err := RunMicro(d, microAccesses, seed, true, memo)
+		m, err := RunMicro(d, microAccesses, seed, true)
 		if err != nil {
 			return nil, fmt.Errorf("micro %s (real hash): %w", d, err)
 		}
@@ -437,12 +426,12 @@ func Run(opts Options) (*Report, error) {
 	// the whole-system drive loop and transport, and must stay comparable
 	// with historical baselines.
 	for _, d := range Designs() {
-		serial, err := bestMacro(d, warmup, roi, seed, 1, -1)
+		serial, err := bestMacro(d, warmup, roi, seed, 1)
 		if err != nil {
 			return nil, fmt.Errorf("macro %s: %w", d, err)
 		}
 		serial.Speedup = 1
-		par, err := bestMacro(d, warmup, roi, seed, macroPar, -1)
+		par, err := bestMacro(d, warmup, roi, seed, macroPar)
 		if err != nil {
 			return nil, fmt.Errorf("macro %s (parallel): %w", d, err)
 		}

@@ -16,45 +16,45 @@ import (
 // changed observable behavior — a different victim, RNG draw order, or
 // float arithmetic — not just its speed.
 func GoldenRun(design string) (cachesim.Results, error) {
-	return GoldenRunMemo(design, 0)
-}
-
-// GoldenRunMemo is GoldenRun with the index-memo knob exposed (0 default,
-// negative off). The fixture must not depend on the setting: the memo is
-// a speed lever only, and the memo-off byte-match in TestGoldenMemoOff
-// (plus the ci.sh smoke) is what proves that.
-func GoldenRunMemo(design string, memoBits int) (cachesim.Results, error) {
-	const (
-		seed   = 42
-		warmup = 20_000
-		roi    = 50_000
-	)
-	mix := []string{"mcf", "xz"}
 	llc, err := cachemodel.Build(design, cachemodel.BuildOptions{
-		Cores:    len(mix),
-		Seed:     seed,
-		MemoBits: memoBits,
+		Cores: len(goldenMix),
+		Seed:  goldenSeed,
 	})
 	if err != nil {
 		return cachesim.Results{}, err
 	}
-	gens := make([]trace.Generator, len(mix))
-	for i, name := range mix {
+	return goldenRunLLC(llc)
+}
+
+// The golden workload's pinned parameters.
+const (
+	goldenSeed   = 42
+	goldenWarmup = 20_000
+	goldenROI    = 50_000
+)
+
+var goldenMix = []string{"mcf", "xz"}
+
+// goldenRunLLC runs the golden workload on an already built LLC (sized
+// for len(goldenMix) cores).
+func goldenRunLLC(llc cachemodel.LLC) (cachesim.Results, error) {
+	gens := make([]trace.Generator, len(goldenMix))
+	for i, name := range goldenMix {
 		p, err := trace.Lookup(name)
 		if err != nil {
 			return cachesim.Results{}, err
 		}
-		gens[i], err = trace.NewGenerator(p, i, seed)
+		gens[i], err = trace.NewGenerator(p, i, goldenSeed)
 		if err != nil {
 			return cachesim.Results{}, err
 		}
 	}
 	sys := cachesim.New(cachesim.Config{
-		Cores: len(mix),
+		Cores: len(goldenMix),
 		Core:  cachesim.DefaultCoreParams(),
 		LLC:   llc,
 		DRAM:  cachesim.DefaultDRAMConfig(),
-		Seed:  seed,
+		Seed:  goldenSeed,
 	}, gens)
-	return cachesim.Run(context.Background(), sys, cachesim.RunSpec{Warmup: warmup, ROI: roi})
+	return cachesim.Run(context.Background(), sys, cachesim.RunSpec{Warmup: goldenWarmup, ROI: goldenROI})
 }

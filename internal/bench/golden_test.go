@@ -57,17 +57,18 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestGoldenMemoOff proves the index memo is a pure speed lever: every
-// design re-runs the golden workload with the memo disabled and the
+// TestGoldenMemoOff proves the PRINCE randomizer's index memo is a pure
+// speed lever: every design re-runs the golden workload on a memo-off
+// twin (the same design with an unmemoized PRINCE hasher) and the
 // Results JSON must still byte-match the committed fixture (which the
-// memo-on run in TestGolden also matches). Any divergence means the memo
-// leaked into observable behavior.
+// memoized run in TestGolden also matches). Any divergence means the
+// memo leaked into observable behavior.
 func TestGoldenMemoOff(t *testing.T) {
 	for _, design := range Designs() {
 		t.Run(design, func(t *testing.T) {
-			res, err := GoldenRunMemo(design, -1)
+			res, err := goldenRunLLC(unmemoizedLLC(t, design, len(goldenMix), goldenSeed))
 			if err != nil {
-				t.Fatalf("GoldenRunMemo(%q, -1): %v", design, err)
+				t.Fatalf("golden run of unmemoized %s: %v", design, err)
 			}
 			got, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {

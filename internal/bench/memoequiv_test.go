@@ -1,30 +1,33 @@
 package bench
 
-// Memo equivalence harness: the epoch-tagged index memo (probe.Memo) is a
-// pure cache over hasher.Index, so a memo-on cache and a memo-off cache
-// driven with an identical operation stream must be observationally
-// indistinguishable — same per-access Results, same Probe answers, same
-// snapshot bytes, same stats (minus the memo's own telemetry). The fuzz
-// target and the seeded property test below drive twin caches with the
-// real PRINCE hasher through interleavings of accesses, flushes, probes,
-// forced rekeys (RekeyOnSAE / RemapPeriod on tiny geometries) and
-// SaveState/RestoreState round-trips, including *cross* restores (the
-// memo-on twin restored from the memo-off twin's blob) to prove the wire
-// format carries no memo state at all.
+// Memo equivalence harness: the PRINCE randomizer's epoch-tagged index
+// memo is a pure cache over the cipher, so a design on the memoized
+// randomizer and its memo-off twin (the same design on an unmemoized
+// PRINCE hasher) driven with an identical operation stream must be
+// observationally indistinguishable — same per-access Results, same Probe
+// answers, same snapshot bytes, same stats (minus the memo's own
+// telemetry). The fuzz target and the seeded property test below drive
+// the twins through interleavings of accesses, flushes, probes, forced
+// rekeys (RekeyOnSAE / RemapPeriod on tiny geometries) and
+// SaveState/RestoreState round-trips, including *cross* restores (each
+// twin restored from the other's blob) to prove the wire format carries
+// no memo state at all.
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/ceaser"
 	"mayacache/internal/core"
 	"mayacache/internal/mirage"
+	"mayacache/internal/prince"
 	"mayacache/internal/snapshot"
 )
 
-// memoEquivDesigns are the randomized designs that carry a memo; Baseline
-// is physically indexed and has none.
+// memoEquivDesigns are the randomized designs whose default hasher is the
+// memoized PRINCE randomizer; Baseline is physically indexed.
 var memoEquivDesigns = []string{"Maya", "Mirage", "CEASER-S"}
 
 // stater is the snapshot interface every design implements.
@@ -33,14 +36,75 @@ type stater interface {
 	RestoreState(*snapshot.Decoder) error
 }
 
+// rawPrince is the PRINCE randomizer with its index memo bypassed:
+// Indexes runs the cipher for every skew. Passed as a design's
+// Config.Hasher it builds the design's memo-off twin (same seed, same
+// keys, same epochs).
+type rawPrince struct{ *prince.Randomizer }
+
+func (h rawPrince) Indexes(line uint64, dst []int32) {
+	for skew := range dst {
+		dst[skew] = int32(h.Index(skew, line))
+	}
+}
+
+func newRawPrince(skews, sets int, seed uint64) cachemodel.IndexHasher {
+	return rawPrince{prince.NewRandomizer(skews, uint(bits.TrailingZeros(uint(sets))), seed)}
+}
+
+// unmemoizedLLC builds the memo-off twin of a registry design at
+// cachemodel.BuildOptions{Cores: cores, Seed: seed}: the registry's
+// geometry with an unmemoized PRINCE hasher. Baseline has no randomizer
+// and is built as is.
+func unmemoizedLLC(t testing.TB, design string, cores int, seed uint64) cachemodel.LLC {
+	t.Helper()
+	sets := cores * cachemodel.DefaultSetsPerCore
+	var (
+		llc cachemodel.LLC
+		err error
+	)
+	switch design {
+	case "Maya":
+		cfg := core.DefaultConfig(seed)
+		cfg.SetsPerSkew = sets
+		cfg.Hasher = newRawPrince(cfg.Skews, sets, seed)
+		llc, err = core.NewChecked(cfg)
+	case "Mirage":
+		cfg := mirage.DefaultConfig(seed)
+		cfg.SetsPerSkew = sets
+		cfg.Hasher = newRawPrince(cfg.Skews, sets, seed)
+		llc, err = mirage.NewChecked(cfg)
+	case "CEASER-S":
+		llc, err = ceaser.NewChecked(ceaser.Config{
+			Sets: sets, Ways: 16, Variant: ceaser.CEASERS, Seed: seed,
+			Hasher: newRawPrince(2, sets, seed),
+		})
+	case "Baseline":
+		llc, err = cachemodel.Build(design, cachemodel.BuildOptions{Cores: cores, Seed: seed})
+	default:
+		t.Fatalf("no memo-off twin for design %q", design)
+	}
+	if err != nil {
+		t.Fatalf("build unmemoized %s: %v", design, err)
+	}
+	return llc
+}
+
 // buildMemoEquivLLC builds a deliberately tiny, rekey-happy instance of
-// the named design with the real PRINCE hasher (Hasher nil). Small sets
-// and a single spare way make SAEs — and therefore RekeyOnSAE key
-// refreshes — reachable within a few thousand accesses, so the fuzzer
-// exercises the memo's epoch-invalidation path, not just warm hits.
-func buildMemoEquivLLC(t testing.TB, design string, memoBits int) cachemodel.LLC {
+// the named design on the memoized PRINCE randomizer (Hasher nil), or its
+// memo-off twin when raw is set. Small sets and a single spare way make
+// SAEs — and therefore RekeyOnSAE key refreshes — reachable within a few
+// thousand accesses, so the fuzzer exercises the memo's epoch tags, not
+// just warm hits.
+func buildMemoEquivLLC(t testing.TB, design string, raw bool) cachemodel.LLC {
 	t.Helper()
 	const seed = 0xA11CE
+	hasher := func(skews, sets int) cachemodel.IndexHasher {
+		if !raw {
+			return nil
+		}
+		return newRawPrince(skews, sets, seed)
+	}
 	var (
 		llc cachemodel.LLC
 		err error
@@ -51,19 +115,19 @@ func buildMemoEquivLLC(t testing.TB, design string, memoBits int) cachemodel.LLC
 		cfg.SetsPerSkew = 64
 		cfg.InvalidWays = 1
 		cfg.RekeyOnSAE = true
-		cfg.MemoBits = memoBits
+		cfg.Hasher = hasher(cfg.Skews, cfg.SetsPerSkew)
 		llc, err = core.NewChecked(cfg)
 	case "Mirage":
 		cfg := mirage.DefaultConfig(seed)
 		cfg.SetsPerSkew = 64
 		cfg.ExtraWays = 1
 		cfg.RekeyOnSAE = true
-		cfg.MemoBits = memoBits
+		cfg.Hasher = hasher(cfg.Skews, cfg.SetsPerSkew)
 		llc, err = mirage.NewChecked(cfg)
 	case "CEASER-S":
 		llc, err = ceaser.NewChecked(ceaser.Config{
 			Sets: 128, Ways: 16, Variant: ceaser.CEASERS,
-			Seed: seed, RemapPeriod: 400, MemoBits: memoBits,
+			Seed: seed, RemapPeriod: 400, Hasher: hasher(2, 128),
 		})
 	default:
 		t.Fatalf("unknown memo-equiv design %q", design)
@@ -91,8 +155,9 @@ func memoEquivRoundTrip(t testing.TB, design string, step int, on, off cachemode
 			design, step, len(eOn.Data()), len(eOff.Data()))
 	}
 	// Cross-restore: the blob must be interchangeable because it carries
-	// no memo state; RestoreState drops any warm memo entries (the hasher
-	// epoch is restored, the memo is reset), so the twins keep agreeing.
+	// no memo state; warm memo entries survive the restore because they
+	// are tagged with the epoch they were computed under, so the twins
+	// keep agreeing.
 	dOn := snapshot.NewDecoder(eOff.Data())
 	if err := so.RestoreState(dOn); err != nil {
 		t.Fatalf("%s step %d: memo-on restore from memo-off blob: %v", design, step, err)
@@ -115,10 +180,8 @@ func memoEquivRoundTrip(t testing.TB, design string, step int, on, off cachemode
 // assert the memo actually saw traffic.
 func driveMemoEquiv(t testing.TB, design string, program []byte) cachemodel.Stats {
 	t.Helper()
-	// A small table (256 entries) maximizes aliasing between lines, so
-	// entry reuse and stale-epoch checks fire constantly.
-	on := buildMemoEquivLLC(t, design, 8)
-	off := buildMemoEquivLLC(t, design, -1)
+	on := buildMemoEquivLLC(t, design, false)
+	off := buildMemoEquivLLC(t, design, true)
 
 	// Deterministic line stream seeded from the program itself (xorshift64).
 	s := uint64(len(program))*0x9E3779B97F4A7C15 + 0x1234567

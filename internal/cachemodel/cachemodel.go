@@ -139,18 +139,18 @@ type Stats struct {
 	Reads      uint64 // demand reads
 	Writebacks uint64 // L2 writebacks received
 
-	TagHits     uint64 // accesses that found their tag
-	DataHits    uint64 // accesses that found their data
-	TagOnlyHits uint64 // Maya: tag hit on a priority-0 entry (still a data miss)
-	Misses      uint64 // accesses with no data hit (fetch from memory)
+	TagHits         uint64 // accesses that found their tag
+	DataHits        uint64 // accesses that found their data
+	TagOnlyHits     uint64 // Maya: tag hit on a priority-0 entry (still a data miss)
+	Misses          uint64 // accesses with no data hit (fetch from memory)
 	DemandMisses    uint64 // demand-read subset of Misses (the MPKI numerator)
 	WritebackMisses uint64 // writeback subset of Misses
 
 	Fills     uint64 // tag-store installs
 	DataFills uint64 // data-store installs
 
-	SAEs               uint64 // set-associative evictions (security events)
-	GlobalTagEvictions uint64 // Maya: random global priority-0 tag evictions
+	SAEs                uint64 // set-associative evictions (security events)
+	GlobalTagEvictions  uint64 // Maya: random global priority-0 tag evictions
 	GlobalDataEvictions uint64 // Maya/Mirage: random global data evictions
 
 	WritebacksToMem uint64 // dirty lines evicted to memory
@@ -170,9 +170,10 @@ type Stats struct {
 	Flushes uint64 // successful Flush calls
 	Rekeys  uint64 // key refreshes triggered by SAEs
 
-	// Index-memoization telemetry (see probe.Memo). Purely observational:
-	// the counters are excluded from JSON results and from the snapshot
-	// wire format so that memo-on and memo-off runs stay byte-identical.
+	// Index-memo telemetry, copied from a memoizing hasher's counters
+	// (prince.Randomizer; see IndexMemo). Purely observational: the
+	// counters are excluded from JSON results and from the snapshot wire
+	// format, so runs with and without the memo stay byte-identical.
 	MemoHits   uint64 `json:"-"` //mayavet:ignore snapshotfields -- telemetry only, excluded from the wire format by design
 	MemoMisses uint64 `json:"-"` //mayavet:ignore snapshotfields -- telemetry only, excluded from the wire format by design
 }
@@ -185,8 +186,25 @@ func (s Stats) WithoutMemo() Stats {
 	return s
 }
 
+// WithMemo returns the stats with the memo telemetry filled from h's
+// counters when h memoizes its indexes (zero otherwise).
+func (s Stats) WithMemo(h IndexHasher) Stats {
+	if m, ok := h.(IndexMemo); ok {
+		s.MemoHits, s.MemoMisses = m.MemoCounters()
+	}
+	return s
+}
+
+// ResetMemo zeroes h's memo counters when h memoizes its indexes; designs
+// call it from ResetStats.
+func ResetMemo(h IndexHasher) {
+	if m, ok := h.(IndexMemo); ok {
+		m.ResetMemoCounters()
+	}
+}
+
 // MemoHitRate returns the fraction of index resolutions served by the
-// memo table (0 when the memo is disabled or the design has none).
+// index memo (0 when the design's hasher has none).
 func (s *Stats) MemoHitRate() float64 {
 	total := s.MemoHits + s.MemoMisses
 	if total == 0 {
@@ -244,8 +262,21 @@ func (s *Stats) Reset() { *s = Stats{} }
 // stand-in for bulk performance simulation where only mapping uniformity
 // matters (the lookup penalty charged is unchanged).
 type IndexHasher interface {
+	// Index computes one skew's set index for line.
 	Index(skew int, line uint64) int
+	// Indexes writes every skew's set index for line into dst, which has
+	// length Skews(): dst[s] == Index(s, line). The randomized designs
+	// make this one call per lookup.
+	Indexes(line uint64, dst []int32)
 	Rekey()
 	Skews() int
 	Sets() int
+}
+
+// IndexMemo is implemented by hashers whose Indexes is served from an
+// index memo (prince.Randomizer); designs report its counters as
+// Stats.MemoHits/MemoMisses.
+type IndexMemo interface {
+	MemoCounters() (hits, misses uint64)
+	ResetMemoCounters()
 }

@@ -41,6 +41,13 @@ func (h *XorHasher) Index(skew int, line uint64) int {
 	return int(x & h.setMask)
 }
 
+// Indexes writes every skew's set index for line into dst.
+func (h *XorHasher) Indexes(line uint64, dst []int32) {
+	for skew := range dst {
+		dst[skew] = int32(h.Index(skew, line))
+	}
+}
+
 // Rekey installs fresh keys.
 func (h *XorHasher) Rekey() {
 	h.epoch++
@@ -76,6 +83,13 @@ func NewModuloHasher(setBits uint) *ModuloHasher {
 
 // Index returns line mod sets.
 func (h *ModuloHasher) Index(_ int, line uint64) int { return int(line & h.setMask) }
+
+// Indexes writes line's set index into dst (one skew).
+func (h *ModuloHasher) Indexes(line uint64, dst []int32) {
+	for skew := range dst {
+		dst[skew] = int32(h.Index(skew, line))
+	}
+}
 
 // Mask returns the set mask, letting hot callers fold the indexing into
 // their own loop (line & Mask() == Index(0, line)) without an interface

@@ -11,9 +11,7 @@ import (
 	"fmt"
 
 	"mayacache/internal/cachemodel"
-	"mayacache/internal/invariant"
 	"mayacache/internal/prince"
-	"mayacache/internal/probe"
 	"mayacache/internal/rng"
 )
 
@@ -63,11 +61,6 @@ type Config struct {
 	// UsePrince selects the PRINCE randomizer (default true when nil
 	// Hasher); tests may inject a faster hasher.
 	Hasher cachemodel.IndexHasher
-	// MemoBits sizes the epoch-tagged index memo table (probe.Memo):
-	// 0 selects probe.DefaultMemoBits, negative disables memoization.
-	// Speed only; results are identical at any setting, and the memo is
-	// silently disabled when Hasher lacks the Epoch purity signal.
-	MemoBits int
 }
 
 type entry struct {
@@ -89,11 +82,7 @@ type Cache struct {
 	waysPerSk int
 	entries   []entry
 	hasher    cachemodel.IndexHasher
-	// memo caches each line's all-skew set indexes keyed by the rekey
-	// epoch (see core.Maya.memo; nil when disabled). CEASER has no probe
-	// fingerprints, so the memo's fp lane is unused here.
-	memo *probe.Memo //mayavet:ignore snapshotfields -- derived: pure function of (line, rekey epoch); wiped on restore
-	r    *rng.Rand
+	r         *rng.Rand
 	clock     uint64
 	fills     uint64
 	stats     cachemodel.Stats
@@ -109,8 +98,10 @@ type Cache struct {
 // NewChecked constructs the selected variant, returning an error wrapping
 // cachemodel.ErrBadConfig when the geometry is invalid.
 func NewChecked(cfg Config) (*Cache, error) {
-	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
-		return nil, cachemodel.BadConfigf("ceaser: Sets must be a positive power of two, got %d", cfg.Sets)
+	// A single set leaves the index function nothing to randomize
+	// (PRINCE needs at least one index bit).
+	if cfg.Sets < 2 || cfg.Sets&(cfg.Sets-1) != 0 {
+		return nil, cachemodel.BadConfigf("ceaser: Sets must be a power of two >= 2, got %d", cfg.Sets)
 	}
 	if cfg.Ways <= 0 {
 		return nil, cachemodel.BadConfigf("ceaser: Ways must be positive, got %d", cfg.Ways)
@@ -131,37 +122,11 @@ func NewChecked(cfg Config) (*Cache, error) {
 	}
 	c.entries = make([]entry, cfg.Sets*cfg.Ways)
 	c.skewIdx = make([]int32, c.skews)
-	c.memo = probe.NewMemo(nil, c.skews, cachemodel.MemoBitsFor(cfg.Hasher, cfg.MemoBits))
 	c.hasher = cfg.Hasher
 	if c.hasher == nil {
 		c.hasher = prince.NewRandomizer(c.skews, log2(cfg.Sets), cfg.Seed)
 	}
 	return c, nil
-}
-
-// resolveIndexes fills skewIdx with every skew's set index for line,
-// consulting the epoch-tagged memo first (see core.Maya.resolveIndexes;
-// CEASER stores no fingerprints, so the memo's fp lane carries zero).
-func (c *Cache) resolveIndexes(line uint64) {
-	if c.memo != nil {
-		if _, ok := c.memo.Lookup(line, c.skewIdx); ok {
-			if invariant.Enabled {
-				for skew := 0; skew < c.skews; skew++ {
-					invariant.Check(int(c.skewIdx[skew]) == c.hasher.Index(skew, line),
-						"ceaser: memo index diverged at skew %d for line %#x", skew, line)
-				}
-			}
-			return
-		}
-		for skew := 0; skew < c.skews; skew++ {
-			c.skewIdx[skew] = int32(c.hasher.Index(skew, line))
-		}
-		c.memo.Insert(line, c.skewIdx, 0)
-		return
-	}
-	for skew := 0; skew < c.skews; skew++ {
-		c.skewIdx[skew] = int32(c.hasher.Index(skew, line))
-	}
 }
 
 func log2(n int) uint {
@@ -177,7 +142,7 @@ func log2(n int) uint {
 // each skew's set index in skewIdx so the install path that immediately
 // follows a miss can skip re-running the randomizer.
 func (c *Cache) lookup(line uint64, sdid uint8) int {
-	c.resolveIndexes(line)
+	c.hasher.Indexes(line, c.skewIdx)
 	for skew := 0; skew < c.skews; skew++ {
 		base := int(c.skewIdx[skew])*c.ways + skew*c.waysPerSk
 		row := c.entries[base : base+c.waysPerSk]
@@ -294,11 +259,6 @@ func (c *Cache) remap() {
 		*e = entry{}
 	}
 	c.hasher.Rekey()
-	if c.memo != nil {
-		// Cached index vectors belong to the old keys; one epoch bump
-		// retires them all.
-		c.memo.Invalidate()
-	}
 	c.stats.Rekeys++
 }
 
@@ -327,19 +287,13 @@ func (c *Cache) LookupPenalty() int { return prince.LatencyCycles }
 
 // StatsSnapshot implements cachemodel.LLC.
 func (c *Cache) StatsSnapshot() cachemodel.Stats {
-	s := c.stats
-	if c.memo != nil {
-		s.MemoHits, s.MemoMisses = c.memo.Counters()
-	}
-	return s
+	return c.stats.WithMemo(c.hasher)
 }
 
 // ResetStats implements cachemodel.LLC.
 func (c *Cache) ResetStats() {
 	c.stats.Reset()
-	if c.memo != nil {
-		c.memo.ResetCounters()
-	}
+	cachemodel.ResetMemo(c.hasher)
 }
 
 // Name implements cachemodel.LLC.

@@ -55,11 +55,6 @@ func (c *Cache) RestoreState(d *snapshot.Decoder) error {
 			}
 		}
 	}
-	// Memo entries were computed against pre-restore keys; wipe the table
-	// (it repopulates lazily — a speed effect only, never a results one).
-	if c.memo != nil {
-		c.memo.Reset()
-	}
 	return d.Err()
 }
 

@@ -68,21 +68,6 @@ type Config struct {
 	// one extra cycle for five or more reuse ways per skew (the wider
 	// tag lookup); Fig 4's sweep sets this for those points.
 	ExtraLookupLatency int
-	// NoSWAR disables the packed-fingerprint SWAR probe path and scans
-	// the tagLine mirror per way instead. Results are identical either
-	// way; the scalar path exists for cross-checking and debugging.
-	NoSWAR bool
-	// NoArena allocates the design's arrays individually instead of
-	// carving them from one flat arena. Layout only; results identical.
-	NoArena bool
-	// MemoBits sizes the epoch-tagged index memo table (probe.Memo):
-	// 0 selects probe.DefaultMemoBits, negative disables memoization.
-	// Speed only: a memo hit replays exactly the indexes and fingerprint
-	// a direct computation would produce, so results are identical at
-	// any setting (cross-checked under the mayacheck build tag). The
-	// memo is silently disabled when Hasher lacks Epoch/RestoreEpoch —
-	// without that purity signal cached entries could go stale.
-	MemoBits int
 }
 
 // DefaultConfig returns the paper's 12MB Maya configuration: 2 skews x 16K
@@ -144,7 +129,7 @@ type Maya struct {
 	// tagFP packs one 16-bit probe fingerprint per way (probe.Fingerprint
 	// of the line, 0 when invalid), fpWords words per (skew,set), so
 	// lookup compares a whole set's ways in a few SWAR operations and
-	// verifies candidates against tagLine/tagMeta. Nil when cfg.NoSWAR.
+	// verifies candidates against tagLine/tagMeta.
 	tagFP   []uint64 //mayavet:ignore snapshotfields -- derived: rebuilt from tags on restore
 	fpWords int
 
@@ -157,14 +142,8 @@ type Maya struct {
 	// p1Cap equals len(data); the data store bounds the P1 population.
 
 	hasher cachemodel.IndexHasher
-	// memo caches each line's all-skew indexes and probe fingerprint,
-	// keyed by the rekey epoch (nil when disabled or when the hasher
-	// gives no Epoch purity signal). Every entry is a pure function of
-	// (line, epoch): rekeyAndFlush invalidates by epoch bump, restore
-	// wipes the table.
-	memo  *probe.Memo //mayavet:ignore snapshotfields -- derived: pure function of (line, rekey epoch); wiped on restore
-	r     *rng.Rand
-	stats cachemodel.Stats
+	r      *rng.Rand
+	stats  cachemodel.Stats
 	wbBuf  []cachemodel.WritebackOut //mayavet:ignore snapshotfields -- per-call output buffer; dead between accesses
 
 	// Per-access scratch, reused to keep the steady-state access path
@@ -178,8 +157,10 @@ type Maya struct {
 // NewChecked constructs a Maya cache from cfg, returning an error wrapping
 // cachemodel.ErrBadConfig when the geometry is invalid.
 func NewChecked(cfg Config) (*Maya, error) {
-	if cfg.SetsPerSkew <= 0 || cfg.SetsPerSkew&(cfg.SetsPerSkew-1) != 0 {
-		return nil, cachemodel.BadConfigf("core: SetsPerSkew must be a positive power of two, got %d", cfg.SetsPerSkew)
+	// One set per skew leaves the index function nothing to randomize
+	// (PRINCE needs at least one index bit).
+	if cfg.SetsPerSkew < 2 || cfg.SetsPerSkew&(cfg.SetsPerSkew-1) != 0 {
+		return nil, cachemodel.BadConfigf("core: SetsPerSkew must be a power of two >= 2, got %d", cfg.SetsPerSkew)
 	}
 	if cfg.Skews < 2 {
 		return nil, cachemodel.BadConfigf("core: Maya requires at least two skews, got %d", cfg.Skews)
@@ -200,35 +181,22 @@ func NewChecked(cfg Config) (*Maya, error) {
 	nSets := cfg.Skews * cfg.SetsPerSkew
 	fpWords := probe.WordsFor(ways)
 	nFP := nSets * fpWords
-	if cfg.NoSWAR {
-		nFP = 0
-	}
 	// p0List transiently reaches p0Cap+1 between an install and the
 	// enforceP0Cap that follows it; give it headroom so append never
 	// reallocates away from the arena.
 	p0ListCap := cfg.Skews*cfg.SetsPerSkew*maxInt(cfg.ReuseWays, 1) + ways
-	memoBits := cachemodel.MemoBitsFor(cfg.Hasher, cfg.MemoBits)
 	// One flat arena for all parallel arrays, ordered probe-hottest
-	// first so lookup and install touch adjacent cache lines (the memo
-	// is consulted before any probe word, so it leads). Alloc falls
-	// back to standalone allocations on a nil arena (NoArena) or if the
-	// sizing below ever goes stale.
-	var ar *probe.Arena
-	if !cfg.NoArena {
-		ar = probe.NewArena(
-			probe.MemoBytes(cfg.Skews, memoBits) +
-				probe.Size[uint64](nFP) +
-				probe.Size[uint64](nTags) + // tagLine
-				probe.Size[uint16](nTags) + // tagMeta
-				probe.Size[uint64](nSets) + // invMask
-				probe.Size[uint16](nSets) + // validCnt
-				probe.Size[tagEntry](nTags) +
-				probe.Size[dataEntry](nData) +
-				probe.Size[int32](2*nData+p0ListCap))
-	}
-	memo := probe.NewMemo(ar, cfg.Skews, memoBits)
+	// first so lookup and install touch adjacent cache lines.
+	ar := probe.NewArena(
+		probe.Size[uint64](nFP) +
+			probe.Size[uint64](nTags) + // tagLine
+			probe.Size[uint16](nTags) + // tagMeta
+			probe.Size[uint64](nSets) + // invMask
+			probe.Size[uint16](nSets) + // validCnt
+			probe.Size[tagEntry](nTags) +
+			probe.Size[dataEntry](nData) +
+			probe.Size[int32](2*nData+p0ListCap))
 	m := &Maya{
-		memo: memo,
 		cfg:      cfg,
 		ways:     ways,
 		sets:     cfg.SetsPerSkew,
@@ -260,6 +228,9 @@ func NewChecked(cfg Config) (*Maya, error) {
 	}
 	for i := nData - 1; i >= 0; i-- {
 		m.dataFree = append(m.dataFree, int32(i))
+	}
+	if invariant.Enabled {
+		invariant.Check(ar.Overflows() == 0, "core: arena undersized: %d allocations fell back to the heap", ar.Overflows())
 	}
 	m.hasher = cfg.Hasher
 	if m.hasher == nil {
@@ -293,43 +264,6 @@ func (m *Maya) setBase(skew, set int) int32 {
 	return int32((skew*m.sets + set) * m.ways)
 }
 
-// resolveIndexes fills skewIdx with every skew's set index for line and
-// returns the line's packed probe fingerprint (zero on the scalar path,
-// which never consults fingerprints). The epoch-tagged memo is consulted
-// first: a hit replays the cached vector without touching the hasher; a
-// miss computes directly and caches the result. Under mayacheck every
-// memo hit is cross-checked against the direct computation.
-func (m *Maya) resolveIndexes(line uint64) uint16 {
-	if m.memo != nil {
-		if fp, ok := m.memo.Lookup(line, m.skewIdx); ok {
-			if invariant.Enabled {
-				for skew := 0; skew < m.skews; skew++ {
-					invariant.Check(int(m.skewIdx[skew]) == m.hasher.Index(skew, line),
-						"core: memo index diverged at skew %d for line %#x", skew, line)
-				}
-				invariant.Check(m.tagFP == nil || fp == probe.Fingerprint(line),
-					"core: memo fingerprint diverged for line %#x", line)
-			}
-			return fp
-		}
-		fp := m.computeIndexes(line)
-		m.memo.Insert(line, m.skewIdx, fp)
-		return fp
-	}
-	return m.computeIndexes(line)
-}
-
-// computeIndexes is the direct (memo-less) index resolution.
-func (m *Maya) computeIndexes(line uint64) uint16 {
-	for skew := 0; skew < m.skews; skew++ {
-		m.skewIdx[skew] = int32(m.hasher.Index(skew, line))
-	}
-	if m.tagFP == nil {
-		return 0
-	}
-	return probe.Fingerprint(line)
-}
-
 // lookup finds the tag index of (line, sdid) or -1, searching all skews.
 // As a side effect it records each skew's set index in skewIdx, so the
 // install path that follows a miss (chooseSkew) never recomputes the hash —
@@ -338,14 +272,11 @@ func (m *Maya) computeIndexes(line uint64) uint16 {
 // The SWAR path compares a whole set's ways in fpWords packed operations;
 // every flagged lane is verified against the authoritative tagLine/tagMeta
 // mirrors, and lanes are visited lowest-first, so the first verified hit
-// is exactly the way the scalar scan would return.
+// is exactly the way a per-way scan would return.
 func (m *Maya) lookup(line uint64, sdid uint8) int32 {
-	fp := m.resolveIndexes(line)
-	if m.tagFP == nil {
-		return m.lookupScalar(line, sdid)
-	}
+	m.hasher.Indexes(line, m.skewIdx)
 	want := tagMetaOf(sdid)
-	bfp := probe.Broadcast(fp)
+	bfp := probe.Broadcast(probe.Fingerprint(line))
 	for skew := 0; skew < m.skews; skew++ {
 		idx := int(m.skewIdx[skew])
 		base := m.setBase(skew, idx)
@@ -372,31 +303,9 @@ func (m *Maya) lookup(line uint64, sdid uint8) int32 {
 	return -1
 }
 
-// lookupScalar is the per-way scan the SWAR path must agree with
-// (cfg.NoSWAR selects it; tests cross-check the two). It reads the set
-// indexes resolveIndexes cached in skewIdx.
-func (m *Maya) lookupScalar(line uint64, sdid uint8) int32 {
-	want := tagMetaOf(sdid)
-	for skew := 0; skew < m.skews; skew++ {
-		base := m.setBase(skew, int(m.skewIdx[skew]))
-		lines := m.tagLine[base : int(base)+m.ways]
-		for w := range lines {
-			if lines[w] == line {
-				if m.tagMeta[int(base)+w] == want {
-					return base + int32(w)
-				}
-			}
-		}
-	}
-	return -1
-}
-
 // setFP writes tag ti's packed probe fingerprint (0 marks invalid). It is
 // called everywhere tagLine/tagMeta flip validity or identity.
 func (m *Maya) setFP(ti int32, fp uint16) {
-	if m.tagFP == nil {
-		return
-	}
 	skewSet := int(ti) / m.ways
 	probe.Set(m.tagFP[skewSet*m.fpWords:], int(ti)-skewSet*m.ways, fp)
 }
@@ -813,11 +722,6 @@ func (m *Maya) rekeyAndFlush() {
 		m.invMask[i] = fullInvMask(m.ways)
 	}
 	m.hasher.Rekey()
-	if m.memo != nil {
-		// Every cached index vector belongs to the old keys; one epoch
-		// bump retires them all.
-		m.memo.Invalidate()
-	}
 	m.stats.Rekeys++
 }
 
@@ -860,19 +764,13 @@ func (m *Maya) LookupPenalty() int {
 
 // StatsSnapshot implements cachemodel.LLC.
 func (m *Maya) StatsSnapshot() cachemodel.Stats {
-	s := m.stats
-	if m.memo != nil {
-		s.MemoHits, s.MemoMisses = m.memo.Counters()
-	}
-	return s
+	return m.stats.WithMemo(m.hasher)
 }
 
 // ResetStats implements cachemodel.LLC.
 func (m *Maya) ResetStats() {
 	m.stats.Reset()
-	if m.memo != nil {
-		m.memo.ResetCounters()
-	}
+	cachemodel.ResetMemo(m.hasher)
 }
 
 // Name implements cachemodel.LLC.
@@ -943,15 +841,13 @@ func (m *Maya) Audit() error {
 		if m.tagMeta[ti] != wantMeta {
 			return fmt.Errorf("tagMeta mirror diverged at tag %d: %#x != %#x", ti, m.tagMeta[ti], wantMeta)
 		}
-		if m.tagFP != nil {
-			wantFP := uint16(0)
-			if e.state != stInvalid {
-				wantFP = probe.Fingerprint(e.line)
-			}
-			skewSet := ti / m.ways
-			if got := probe.Get(m.tagFP[skewSet*m.fpWords:], ti-skewSet*m.ways); got != wantFP {
-				return fmt.Errorf("tagFP mirror diverged at tag %d: %#x != %#x", ti, got, wantFP)
-			}
+		wantFP := uint16(0)
+		if e.state != stInvalid {
+			wantFP = probe.Fingerprint(e.line)
+		}
+		skewSet := ti / m.ways
+		if got := probe.Get(m.tagFP[skewSet*m.fpWords:], ti-skewSet*m.ways); got != wantFP {
+			return fmt.Errorf("tagFP mirror diverged at tag %d: %#x != %#x", ti, got, wantFP)
 		}
 	}
 	if p0 != len(m.p0List) {

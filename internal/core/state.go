@@ -154,13 +154,6 @@ func (m *Maya) RestoreState(d *snapshot.Decoder) error {
 		}
 		seen[slot] = true
 	}
-	// The memo's cached index vectors were computed against whatever keys
-	// the hasher held before the restore; the restored epoch need not
-	// line up with the memo's local counter, so wipe the table outright.
-	// Entries repopulate lazily — a pure speed effect, never a results one.
-	if m.memo != nil {
-		m.memo.Reset()
-	}
 	// The structural invariants (FPTR/RPTR bijection, p0List bijection,
 	// population caps, validCnt agreement) are exactly what Audit checks;
 	// run it on every restore, mayacheck build or not.

@@ -24,47 +24,16 @@ const (
 	DesignMayaISO    Design = "Maya-ISO"
 )
 
-// setsPerCore is the per-core set count: a 2MB/core 16-way baseline slice
-// has 2MB / 64B / 16 = 2048 sets.
-const setsPerCore = 2048
-
-// LLCOptions parameterizes design construction.
-type LLCOptions struct {
-	// Cores scales capacity (2MB baseline-equivalent per core).
-	Cores int
-	// Seed drives keys and randomness.
-	Seed uint64
-	// FastHash selects the non-cryptographic index hasher for bulk
-	// performance sweeps (see cachemodel.XorHasher); security and attack
-	// experiments leave it false to use PRINCE.
-	FastHash bool
-	// ReuseWays overrides Maya's reuse ways per skew (0 = default 3).
-	ReuseWays int
-	// InvalidWays overrides Maya's invalid ways per skew (0 = default 6).
-	InvalidWays int
-	// DataScale multiplies Maya's base ways for the LLC-size sensitivity
-	// study (0 = default 1.0).
-	DataScale float64
-}
-
-// buildOptions translates LLCOptions into the registry's BuildOptions.
-func (o LLCOptions) buildOptions() cachemodel.BuildOptions {
-	return cachemodel.BuildOptions{
-		Cores:       o.Cores,
-		SetsPerCore: setsPerCore,
-		Seed:        o.Seed,
-		FastHash:    o.FastHash,
-		ReuseWays:   o.ReuseWays,
-		InvalidWays: o.InvalidWays,
-		DataScale:   o.DataScale,
-	}
-}
+// LLCOptions parameterizes design construction: the registry's
+// BuildOptions, whose zero SetsPerCore selects the paper's 2048 sets per
+// core.
+type LLCOptions = cachemodel.BuildOptions
 
 // NewLLCChecked constructs the named design scaled to opts.Cores through
 // the cachemodel registry, returning an error wrapping
 // cachemodel.ErrBadConfig for unknown designs or invalid geometry.
 func NewLLCChecked(d Design, opts LLCOptions) (cachemodel.LLC, error) {
-	return cachemodel.Build(string(d), opts.buildOptions())
+	return cachemodel.Build(string(d), opts)
 }
 
 // AllDesigns returns the designs of the paper's headline comparison.

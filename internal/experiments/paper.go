@@ -434,7 +434,7 @@ var table11Kinds = []table11Kind{
 // newPartitionLLC builds a Table XI partitioned LLC, one domain per core.
 func newPartitionLLC(k partition.Kind, cores int, seed uint64) cachemodel.LLC {
 	return partition.New(partition.Config{
-		Sets:        setsPerCore * cores,
+		Sets:        cachemodel.DefaultSetsPerCore * cores,
 		Ways:        16,
 		Domains:     cores,
 		Kind:        k,
@@ -562,7 +562,7 @@ func llcSize() *Figure {
 		groups: []*cellGroup{group("llcsize", crossLabels(labelsOf("f=%g", llcSizeFactors), benchLabels(specBenches)), func(ctx context.Context, sc Scale, c int) (float64, error) {
 			f, b := llcSizeFactors[c/len(specBenches)], specBenches[c%len(specBenches)]
 			mix := homogeneous(b, 8)
-			sets := 1 << bits.Len(uint(float64(setsPerCore*8)*f+0.5)-1)
+			sets := 1 << bits.Len(uint(float64(cachemodel.DefaultSetsPerCore*8)*f+0.5)-1)
 			baseLLC, err := baseline.NewChecked(baseline.Config{Sets: sets, Ways: 16, Replacement: baseline.SRRIP, Seed: sc.Seed})
 			if err != nil {
 				return 0, err

@@ -47,17 +47,6 @@ type Config struct {
 	RekeyOnSAE bool
 	// NameSuffix distinguishes variants (e.g. "-Lite") in reports.
 	NameSuffix string
-	// NoSWAR disables the packed-fingerprint SWAR probe path (scalar
-	// tagLine scan instead). Results are identical either way.
-	NoSWAR bool
-	// NoArena allocates the design's arrays individually instead of
-	// carving them from one flat arena. Layout only; results identical.
-	NoArena bool
-	// MemoBits sizes the epoch-tagged index memo table (probe.Memo):
-	// 0 selects probe.DefaultMemoBits, negative disables memoization.
-	// Speed only; results are identical at any setting, and the memo is
-	// silently disabled when Hasher lacks the Epoch purity signal.
-	MemoBits int
 }
 
 // DefaultConfig is the paper's Mirage configuration for a 16MB LLC:
@@ -126,7 +115,7 @@ type Mirage struct {
 	// tagFP packs one 16-bit probe fingerprint per way (probe.Fingerprint
 	// of the line, 0 when invalid), fpWords words per (skew,set); lookup
 	// SWAR-compares a whole set and verifies candidates against
-	// tagLine/tagMeta. Nil when cfg.NoSWAR.
+	// tagLine/tagMeta.
 	tagFP   []uint64 //mayavet:ignore snapshotfields -- derived: rebuilt from tags on restore
 	fpWords int
 
@@ -135,11 +124,8 @@ type Mirage struct {
 	dataFree []int32
 
 	hasher cachemodel.IndexHasher
-	// memo caches each line's all-skew indexes and probe fingerprint,
-	// keyed by the rekey epoch (see core.Maya.memo; nil when disabled).
-	memo  *probe.Memo //mayavet:ignore snapshotfields -- derived: pure function of (line, rekey epoch); wiped on restore
-	r     *rng.Rand
-	stats cachemodel.Stats
+	r      *rng.Rand
+	stats  cachemodel.Stats
 	wbBuf  []cachemodel.WritebackOut //mayavet:ignore snapshotfields -- per-call output buffer; dead between accesses
 
 	// skewIdx caches the per-skew set indices computed by lookup so the
@@ -150,8 +136,10 @@ type Mirage struct {
 // NewChecked constructs a Mirage cache from cfg, returning an error
 // wrapping cachemodel.ErrBadConfig when the geometry is invalid.
 func NewChecked(cfg Config) (*Mirage, error) {
-	if cfg.SetsPerSkew <= 0 || cfg.SetsPerSkew&(cfg.SetsPerSkew-1) != 0 {
-		return nil, cachemodel.BadConfigf("mirage: SetsPerSkew must be a positive power of two, got %d", cfg.SetsPerSkew)
+	// One set per skew leaves the index function nothing to randomize
+	// (PRINCE needs at least one index bit).
+	if cfg.SetsPerSkew < 2 || cfg.SetsPerSkew&(cfg.SetsPerSkew-1) != 0 {
+		return nil, cachemodel.BadConfigf("mirage: SetsPerSkew must be a power of two >= 2, got %d", cfg.SetsPerSkew)
 	}
 	if cfg.Skews < 2 {
 		return nil, cachemodel.BadConfigf("mirage: at least two skews required, got %d", cfg.Skews)
@@ -172,30 +160,18 @@ func NewChecked(cfg Config) (*Mirage, error) {
 	nSets := cfg.Skews * cfg.SetsPerSkew
 	fpWords := probe.WordsFor(ways)
 	nFP := nSets * fpWords
-	if cfg.NoSWAR {
-		nFP = 0
-	}
-	memoBits := cachemodel.MemoBitsFor(cfg.Hasher, cfg.MemoBits)
 	// One flat arena for the parallel arrays, probe-hottest first (see
-	// core.NewChecked; the memo leads since it is consulted before any
-	// probe word). Alloc falls back to standalone allocations on a nil
-	// arena or stale sizing.
-	var ar *probe.Arena
-	if !cfg.NoArena {
-		ar = probe.NewArena(
-			probe.MemoBytes(cfg.Skews, memoBits) +
-				probe.Size[uint64](nFP) +
-				probe.Size[uint64](nTags) + // tagLine
-				probe.Size[uint16](nTags) + // tagMeta
-				probe.Size[uint64](nSets) + // invMask
-				probe.Size[uint16](nSets) + // validCnt
-				probe.Size[tagEntry](nTags) +
-				probe.Size[dataEntry](nData) +
-				probe.Size[int32](2*nData))
-	}
-	memo := probe.NewMemo(ar, cfg.Skews, memoBits)
+	// core.NewChecked).
+	ar := probe.NewArena(
+		probe.Size[uint64](nFP) +
+			probe.Size[uint64](nTags) + // tagLine
+			probe.Size[uint16](nTags) + // tagMeta
+			probe.Size[uint64](nSets) + // invMask
+			probe.Size[uint16](nSets) + // validCnt
+			probe.Size[tagEntry](nTags) +
+			probe.Size[dataEntry](nData) +
+			probe.Size[int32](2*nData))
 	c := &Mirage{
-		memo: memo,
 		cfg:      cfg,
 		ways:     ways,
 		sets:     cfg.SetsPerSkew,
@@ -224,6 +200,9 @@ func NewChecked(cfg Config) (*Mirage, error) {
 	for i := nData - 1; i >= 0; i-- {
 		c.dataFree = append(c.dataFree, int32(i))
 	}
+	if invariant.Enabled {
+		invariant.Check(ar.Overflows() == 0, "mirage: arena undersized: %d allocations fell back to the heap", ar.Overflows())
+	}
 	c.hasher = cfg.Hasher
 	if c.hasher == nil {
 		c.hasher = prince.NewRandomizer(cfg.Skews, log2(cfg.SetsPerSkew), cfg.Seed)
@@ -244,54 +223,17 @@ func (c *Mirage) setBase(skew, set int) int32 {
 	return int32((skew*c.sets + set) * c.ways)
 }
 
-// resolveIndexes fills skewIdx with every skew's set index for line and
-// returns the line's packed probe fingerprint (zero on the scalar path),
-// consulting the epoch-tagged memo first (see core.Maya.resolveIndexes).
-func (c *Mirage) resolveIndexes(line uint64) uint16 {
-	if c.memo != nil {
-		if fp, ok := c.memo.Lookup(line, c.skewIdx); ok {
-			if invariant.Enabled {
-				for skew := 0; skew < c.skews; skew++ {
-					invariant.Check(int(c.skewIdx[skew]) == c.hasher.Index(skew, line),
-						"mirage: memo index diverged at skew %d for line %#x", skew, line)
-				}
-				invariant.Check(c.tagFP == nil || fp == probe.Fingerprint(line),
-					"mirage: memo fingerprint diverged for line %#x", line)
-			}
-			return fp
-		}
-		fp := c.computeIndexes(line)
-		c.memo.Insert(line, c.skewIdx, fp)
-		return fp
-	}
-	return c.computeIndexes(line)
-}
-
-// computeIndexes is the direct (memo-less) index resolution.
-func (c *Mirage) computeIndexes(line uint64) uint16 {
-	for skew := 0; skew < c.skews; skew++ {
-		c.skewIdx[skew] = int32(c.hasher.Index(skew, line))
-	}
-	if c.tagFP == nil {
-		return 0
-	}
-	return probe.Fingerprint(line)
-}
-
 // lookup finds the tag index of (line, sdid) or -1. As a side effect it
 // records each skew's set index in skewIdx for the install path (see
 // chooseSkew), halving hash computations per miss.
 //
 // The SWAR path compares a whole set's ways per packed word and verifies
 // flagged lanes (lowest first) against tagLine/tagMeta, so the first
-// verified hit is exactly the way the scalar scan would return.
+// verified hit is exactly the way a per-way scan would return.
 func (c *Mirage) lookup(line uint64, sdid uint8) int32 {
-	fp := c.resolveIndexes(line)
-	if c.tagFP == nil {
-		return c.lookupScalar(line, sdid)
-	}
+	c.hasher.Indexes(line, c.skewIdx)
 	want := tagMetaOf(sdid)
-	bfp := probe.Broadcast(fp)
+	bfp := probe.Broadcast(probe.Fingerprint(line))
 	for skew := 0; skew < c.skews; skew++ {
 		idx := int(c.skewIdx[skew])
 		base := c.setBase(skew, idx)
@@ -317,31 +259,9 @@ func (c *Mirage) lookup(line uint64, sdid uint8) int32 {
 	return -1
 }
 
-// lookupScalar is the per-way scan the SWAR path must agree with
-// (cfg.NoSWAR selects it; tests cross-check the two). It reads the set
-// indexes resolveIndexes cached in skewIdx.
-func (c *Mirage) lookupScalar(line uint64, sdid uint8) int32 {
-	want := tagMetaOf(sdid)
-	for skew := 0; skew < c.skews; skew++ {
-		base := c.setBase(skew, int(c.skewIdx[skew]))
-		lines := c.tagLine[base : int(base)+c.ways]
-		for w := range lines {
-			if lines[w] == line {
-				if c.tagMeta[int(base)+w] == want {
-					return base + int32(w)
-				}
-			}
-		}
-	}
-	return -1
-}
-
 // setFP writes tag ti's packed probe fingerprint (0 marks invalid). It is
 // called everywhere tagLine/tagMeta flip validity or identity.
 func (c *Mirage) setFP(ti int32, fp uint16) {
-	if c.tagFP == nil {
-		return
-	}
 	skewSet := int(ti) / c.ways
 	probe.Set(c.tagFP[skewSet*c.fpWords:], int(ti)-skewSet*c.ways, fp)
 }
@@ -584,11 +504,6 @@ func (c *Mirage) rekeyAndFlush() {
 		c.invMask[i] = fullInvMask(c.ways)
 	}
 	c.hasher.Rekey()
-	if c.memo != nil {
-		// Every cached index vector belongs to the old keys; one epoch
-		// bump retires them all.
-		c.memo.Invalidate()
-	}
 	c.stats.Rekeys++
 }
 
@@ -615,19 +530,13 @@ func (c *Mirage) LookupPenalty() int { return prince.LatencyCycles + 1 }
 
 // StatsSnapshot implements cachemodel.LLC.
 func (c *Mirage) StatsSnapshot() cachemodel.Stats {
-	s := c.stats
-	if c.memo != nil {
-		s.MemoHits, s.MemoMisses = c.memo.Counters()
-	}
-	return s
+	return c.stats.WithMemo(c.hasher)
 }
 
 // ResetStats implements cachemodel.LLC.
 func (c *Mirage) ResetStats() {
 	c.stats.Reset()
-	if c.memo != nil {
-		c.memo.ResetCounters()
-	}
+	cachemodel.ResetMemo(c.hasher)
 }
 
 // Name implements cachemodel.LLC.
@@ -665,15 +574,13 @@ func (c *Mirage) Audit() error {
 		if c.tagMeta[ti] != wantMeta {
 			return fmt.Errorf("tagMeta mirror diverged at tag %d: %#x != %#x", ti, c.tagMeta[ti], wantMeta)
 		}
-		if c.tagFP != nil {
-			wantFP := uint16(0)
-			if e.valid {
-				wantFP = probe.Fingerprint(e.line)
-			}
-			skewSet := ti / c.ways
-			if got := probe.Get(c.tagFP[skewSet*c.fpWords:], ti-skewSet*c.ways); got != wantFP {
-				return fmt.Errorf("tagFP mirror diverged at tag %d: %#x != %#x", ti, got, wantFP)
-			}
+		wantFP := uint16(0)
+		if e.valid {
+			wantFP = probe.Fingerprint(e.line)
+		}
+		skewSet := ti / c.ways
+		if got := probe.Get(c.tagFP[skewSet*c.fpWords:], ti-skewSet*c.ways); got != wantFP {
+			return fmt.Errorf("tagFP mirror diverged at tag %d: %#x != %#x", ti, got, wantFP)
 		}
 		if !e.valid {
 			continue

@@ -137,11 +137,6 @@ func (c *Mirage) RestoreState(d *snapshot.Decoder) error {
 		}
 		seen[slot] = true
 	}
-	// Memo entries were computed against pre-restore keys; wipe the table
-	// (it repopulates lazily — a speed effect only, never a results one).
-	if c.memo != nil {
-		c.memo.Reset()
-	}
 	if err := c.Audit(); err != nil {
 		return &snapshot.CorruptError{At: "mirage state", Detail: err.Error()}
 	}

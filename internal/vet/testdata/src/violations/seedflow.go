@@ -66,10 +66,10 @@ func GomaxprocsBudget() *rng.Rand {
 	return cachesim.Run(spec) // want: seedflow
 }
 
-// CpuSeedIntoBuild puts machine width into the registry seed: only
-// BuildOptions.MemoBits is a sanctioned scheduling knob, the Seed field
-// next to it is results-affecting seed material and keeps its taint.
+// CpuSeedIntoBuild puts machine width into the registry seed: the
+// sanctioned-field rule covers only RunSpec.Parallelism, so the Seed
+// field is results-affecting seed material and keeps its taint.
 func CpuSeedIntoBuild() *rng.Rand {
-	o := cachemodel.BuildOptions{Seed: uint64(runtime.NumCPU()), MemoBits: 14}
+	o := cachemodel.BuildOptions{Seed: uint64(runtime.NumCPU())}
 	return cachemodel.Build(o) // want: seedflow
 }

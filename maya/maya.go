@@ -135,8 +135,9 @@ const (
 type SystemConfig struct {
 	// Workloads lists one benchmark name per core.
 	Workloads []string
-	// Design selects the shared LLC (DesignBaseline/DesignMirage/
-	// DesignMaya), ignored if LLC is set.
+	// Design names the shared LLC: any registered design (DesignBaseline,
+	// DesignMirage, DesignMaya, "Maya-ISO", ...; empty means Baseline).
+	// Ignored if LLC is set; an unknown name is an error.
 	Design Design
 	// LLC optionally supplies a custom LLC instance.
 	LLC LLC
@@ -145,12 +146,6 @@ type SystemConfig struct {
 	// FastHash uses the non-cryptographic index hasher in randomized
 	// designs (recommended for bulk sweeps; PRINCE otherwise).
 	FastHash bool
-	// MemoBits sizes the randomized designs' epoch-tagged index memo
-	// (0: default size, negative: disabled). Speed only — results are
-	// bit-identical at any setting. The memo pays off under PRINCE and
-	// is a small loss under FastHash, so size it only when FastHash is
-	// false.
-	MemoBits int
 }
 
 // System is a runnable multi-core simulation.
@@ -193,39 +188,15 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 }
 
 func buildLLC(cfg SystemConfig) (LLC, error) {
-	cores := len(cfg.Workloads)
-	sets := 2048 * cores
-	var hasher IndexHasher
-	if cfg.FastHash {
-		hasher = cachemodel.NewXorHasher(2, log2(sets), cfg.Seed)
+	design := cfg.Design
+	if design == "" {
+		design = DesignBaseline
 	}
-	switch cfg.Design {
-	case DesignMirage:
-		c := mirage.DefaultConfig(cfg.Seed)
-		c.SetsPerSkew = sets
-		c.Hasher = hasher
-		c.MemoBits = cfg.MemoBits
-		return mirage.NewChecked(c)
-	case DesignMaya:
-		c := core.DefaultConfig(cfg.Seed)
-		c.SetsPerSkew = sets
-		c.Hasher = hasher
-		c.MemoBits = cfg.MemoBits
-		return core.NewChecked(c)
-	default:
-		return baseline.NewChecked(baseline.Config{
-			Sets: sets, Ways: 16, Replacement: baseline.SRRIP, Seed: cfg.Seed,
-		})
-	}
-}
-
-func log2(n int) uint {
-	var b uint
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
+	return cachemodel.Build(string(design), cachemodel.BuildOptions{
+		Cores:    len(cfg.Workloads),
+		Seed:     cfg.Seed,
+		FastHash: cfg.FastHash,
+	})
 }
 
 // RunSpec re-exports the simulator's run specification: instruction

@@ -1,8 +1,11 @@
 package maya
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"mayacache/internal/cachemodel"
 )
 
 // mustCache unwraps NewCache for tests with known-good configs.
@@ -30,6 +33,34 @@ func TestQuickstartFlow(t *testing.T) {
 	r = c.Access(Access{Line: 0x1234, Type: Read})
 	if !r.DataHit {
 		t.Fatal("third access should hit in the data store")
+	}
+}
+
+// TestSystemDesignNames checks that SystemConfig.Design goes through the
+// design registry: empty selects the baseline, any registered name builds
+// that design, and an unknown name is a configuration error.
+func TestSystemDesignNames(t *testing.T) {
+	for _, c := range []struct {
+		design Design
+		want   string
+	}{
+		{"", "Baseline-16way-SRRIP"},
+		{DesignMaya, "Maya-6b3r6i"},
+		{"Maya-ISO", "Maya-8b4r6i"},
+	} {
+		sys, err := NewSystem(SystemConfig{Workloads: []string{"mcf"}, Design: c.design, Seed: 1, FastHash: true})
+		if err != nil {
+			t.Fatalf("design %q: %v", c.design, err)
+		}
+		if got := sys.LLC().Name(); got != c.want {
+			t.Errorf("design %q built %s, want %s", c.design, got, c.want)
+		}
+	}
+	for _, design := range []Design{"Maay", "maya"} {
+		_, err := NewSystem(SystemConfig{Workloads: []string{"mcf"}, Design: design})
+		if !errors.Is(err, cachemodel.ErrBadConfig) {
+			t.Errorf("design %q: err = %v, want ErrBadConfig", design, err)
+		}
 	}
 }
 
