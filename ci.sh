@@ -108,11 +108,30 @@ cmp "$TMP/sec1.out" "$TMP/sec1w4.out"
     -shards 8 -workers 7 -progress off > "$TMP/sec8b.out"
 cmp "$TMP/sec8a.out" "$TMP/sec8b.out"
 # Flag misuse must exit 2 before any simulation runs.
-for bad in "-iters 0" "-shards 0" "-shards -2" "-workers 0" "-experiment fig99"; do
+for bad in "-iters 0" "-shards 0" "-shards -2" "-workers 0" "-experiment fig99" "-progress bogus"; do
   status=0
   "$TMP/securitysim" $bad > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then
     echo "ci: securitysim '$bad' exited $status, want 2" >&2; exit 1
+  fi
+done
+
+echo "==> e2e: attacksim and overheads flag validation"
+go build -o "$TMP/attacksim" ./cmd/attacksim
+go build -o "$TMP/overheads" ./cmd/overheads
+# Flag misuse must exit 2 before any simulation runs.
+for bad in "-runs 0" "-runs -1" "-max 0" "-max -5" "-noise -1" "-sets 24" "-workers 0" "-experiment fig99"; do
+  status=0
+  "$TMP/attacksim" $bad > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "ci: attacksim '$bad' exited $status, want 2" >&2; exit 1
+  fi
+done
+for bad in "-table bogus" "-table summary -perf -warmup 0" "-table summary -perf -roi 0"; do
+  status=0
+  "$TMP/overheads" $bad > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "ci: overheads '$bad' exited $status, want 2" >&2; exit 1
   fi
 done
 
@@ -244,6 +263,17 @@ if [ "$shed" -ne 1 ]; then
 fi
 kill -9 "$SRV"; wait "$SRV" 2>/dev/null || true
 
+echo "==> bench: memo-off golden byte-match"
+# It runs before the timing gate below so a red perf gate cannot hide a
+# byte-identity result.
+# The PRINCE randomizer's index memo must not move a single result bit:
+# the golden end-to-end fixtures are regenerated on memo-off twins (an
+# unmemoized PRINCE hasher) and byte-compared against the committed
+# encodings, and the memo itself must equal the raw cipher under every
+# interleaving of rekeys, epoch restores and slot collisions.
+go test ./internal/bench -run 'TestGoldenMemoOff' -count=1
+go test ./internal/prince -run 'TestMemo|FuzzMemoIndexes' -count=1
+
 echo "==> bench: continuous benchmark suite (quick) + regression gate"
 # The quick suite doubles as a smoke test of the bench pipeline itself:
 # it must build every design through the registry, run the pinned micro
@@ -264,14 +294,5 @@ grep -q '"parallelism"' "$TMP/BENCH.json"
 # no hit-rate field means the randomizer's index memo stopped counting.
 grep -q '"real_hash"' "$TMP/BENCH.json"
 grep -q '"memo_hit_rate"' "$TMP/BENCH.json"
-
-echo "==> bench: memo-off golden byte-match"
-# The PRINCE randomizer's index memo must not move a single result bit:
-# the golden end-to-end fixtures are regenerated on memo-off twins (an
-# unmemoized PRINCE hasher) and byte-compared against the committed
-# encodings, and the memo itself must equal the raw cipher under every
-# interleaving of rekeys, epoch restores and slot collisions.
-go test ./internal/bench -run 'TestGoldenMemoOff' -count=1
-go test ./internal/prince -run 'TestMemo|FuzzMemoIndexes' -count=1
 
 echo "ci: all green"

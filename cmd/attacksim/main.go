@@ -8,6 +8,11 @@
 //
 //	attacksim -experiment fig8 [-runs 5] [-max 20000] [-sets 64]
 //	attacksim -experiment evictionset
+//
+// Each experiment is an entry of the experiments figure table, run by
+// experiments.Session under the resilient harness: a failed cell renders
+// as FAILED rows and is reported in the final failure summary (exit 1).
+// Invalid flags exit 2 before any simulation runs.
 package main
 
 import (
@@ -16,205 +21,62 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 
-	"mayacache/internal/attack"
-	"mayacache/internal/baseline"
-	"mayacache/internal/cachemodel"
-	"mayacache/internal/ceaser"
-	maya "mayacache/internal/core"
+	"mayacache/internal/experiments"
 	"mayacache/internal/harness"
-	"mayacache/internal/mirage"
-	"mayacache/internal/report"
 )
 
 func main() {
 	os.Exit(run())
 }
 
-func run() int {
-	var (
-		exp     = flag.String("experiment", "all", "fig8|evictionset|all")
-		runs    = flag.Int("runs", 3, "attack repetitions (median reported)")
-		max     = flag.Int("max", 20000, "max encryptions per attack")
-		sets    = flag.Int("sets", 64, "cache sets (scale knob; 64 = 256KB-class caches)")
-		noise   = flag.Int("noise", 16, "background noise accesses per sample")
-		seed    = flag.Uint64("seed", 1, "seed")
-		workers = flag.Int("workers", 1, "worker pool width for attack repetitions (1 = historical serial run; never affects results)")
-	)
-	flag.Parse()
-	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "attacksim: -workers must be >= 1, got %d\n", *workers)
-		return 2
+// validExperiments are the names of attacksim's entries plus "all".
+var validExperiments = append(experiments.Names(experiments.AttackFigures(experiments.AttackSpec{})), "all")
+
+// validate enforces the usage contract; any error here exits 2.
+func validate(exp string, spec experiments.AttackSpec) error {
+	switch {
+	case !slices.Contains(validExperiments, exp):
+		return fmt.Errorf("unknown experiment %q (valid: %s)", exp, strings.Join(validExperiments, ", "))
+	case spec.Workers < 1:
+		return fmt.Errorf("-workers must be >= 1, got %d", spec.Workers)
+	case spec.Sets < 2 || spec.Sets&(spec.Sets-1) != 0:
+		return fmt.Errorf("-sets must be a power of two >= 2, got %d", spec.Sets)
+	case spec.Runs < 1:
+		return fmt.Errorf("-runs must be >= 1, got %d", spec.Runs)
+	case spec.Max < 1:
+		return fmt.Errorf("-max must be >= 1, got %d", spec.Max)
+	case spec.Noise < 0:
+		return fmt.Errorf("-noise must be >= 0, got %d", spec.Noise)
 	}
-	if *sets < 2 || *sets&(*sets-1) != 0 {
-		fmt.Fprintf(os.Stderr, "attacksim: -sets must be a power of two >= 2, got %d\n", *sets)
+	return nil
+}
+
+func run() int {
+	var spec experiments.AttackSpec
+	exp := flag.String("experiment", "all", strings.Join(validExperiments, "|"))
+	flag.IntVar(&spec.Runs, "runs", 3, "attack repetitions (median reported)")
+	flag.IntVar(&spec.Max, "max", 20000, "max encryptions per attack")
+	flag.IntVar(&spec.Sets, "sets", 64, "cache sets (scale knob; 64 = 256KB-class caches)")
+	flag.IntVar(&spec.Noise, "noise", 16, "background noise accesses per sample")
+	flag.Uint64Var(&spec.Seed, "seed", 1, "seed")
+	flag.IntVar(&spec.Workers, "workers", 1, "worker pool width for attack repetitions (1 = historical serial run; never affects results)")
+	flag.Parse()
+	if err := validate(*exp, spec); err != nil {
+		fmt.Fprintf(os.Stderr, "attacksim: %v\n", err)
 		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	runner := harness.New(harness.Options{Workers: 1})
-	// runExp isolates one experiment: a panic in it becomes a structured
-	// failure on the shared runner while the other experiments still run.
-	runExp := func(name string, fn func() error) {
-		_, _, _ = harness.RunCells(ctx, runner, name, []string{"-"}, func(context.Context, int) (struct{}, error) {
-			return struct{}{}, fn()
-		})
+	sess := experiments.NewSession(runner)
+	for _, f := range experiments.Select(experiments.AttackFigures(spec), *exp) {
+		rep, _ := sess.Run(ctx, f)
+		experiments.Write(os.Stdout, rep, false)
 	}
-
-	switch *exp {
-	case "fig8":
-		runExp("fig8", func() error { return fig8(ctx, *sets, *runs, *max, *noise, *workers, *seed) })
-	case "evictionset":
-		runExp("evictionset", func() error { return evictionSets(*sets, *seed) })
-	case "all":
-		runExp("fig8", func() error { return fig8(ctx, *sets, *runs, *max, *noise, *workers, *seed) })
-		runExp("evictionset", func() error { return evictionSets(*sets, *seed) })
-	default:
-		fmt.Fprintf(os.Stderr, "attacksim: unknown experiment %q (valid: fig8, evictionset, all)\n", *exp)
-		return 2
-	}
-
-	if runner.Failed() {
-		runner.WriteFailureSummary(os.Stderr)
-		return 1
-	}
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "attacksim: interrupted")
-		return 1
-	}
-	return 0
-}
-
-// designUnderAttack builds each Fig 8 cache plus its occupancy-set size:
-// equal to capacity for the deterministic LRU cache, twice capacity for
-// the random-replacement designs (whose probe must churn the cache).
-type designUnderAttack struct {
-	name      string
-	mk        func(seed uint64) cachemodel.LLC
-	occupancy int
-}
-
-// mustLLC unwraps a checked constructor; run validates -sets, so a
-// construction error is a programming bug.
-func mustLLC(c cachemodel.LLC, err error) cachemodel.LLC {
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-func fig8Designs(sets int) []designUnderAttack {
-	capacity := sets * 16
-	return []designUnderAttack{
-		{
-			name: "16-way SA",
-			mk: func(seed uint64) cachemodel.LLC {
-				return mustLLC(baseline.NewChecked(baseline.Config{Sets: sets, Ways: 16, Replacement: baseline.LRU, Seed: seed, MatchSDID: true}))
-			},
-			occupancy: capacity,
-		},
-		{
-			name: "Maya",
-			mk: func(seed uint64) cachemodel.LLC {
-				return mustLLC(maya.NewChecked(maya.Config{
-					SetsPerSkew: sets, Skews: 2, BaseWays: 6, ReuseWays: 3, InvalidWays: 6,
-					Seed: seed,
-				}))
-			},
-			occupancy: 2 * sets * 2 * 6,
-		},
-		{
-			name: "Fully associative",
-			mk: func(seed uint64) cachemodel.LLC {
-				return mustLLC(baseline.NewFullyAssociativeChecked(capacity, seed, true))
-			},
-			occupancy: 2 * capacity,
-		},
-	}
-}
-
-func fig8(ctx context.Context, sets, runs, max, noise, workers int, seed uint64) error {
-	t := report.NewTable(
-		"Fig 8: occupancy attack — encryptions to distinguish two keys (median)",
-		"design", "AES", "AES (normalized to FA)", "ModExp", "ModExp (normalized)")
-	type row struct {
-		name        string
-		aes, modexp float64
-	}
-	// Pick two AES keys with contrasting reuse profiles, as the paper's
-	// attacker does. Attack repetitions fan across the Monte-Carlo pool;
-	// worker count never changes the medians.
-	keyA, keyB := attack.FindContrastingAESKeys(64, 16, seed)
-	var rows []row
-	for _, d := range fig8Designs(sets) {
-		aesN, err := attack.Trials{Runs: runs, Workers: workers, Seed: seed}.
-			MedianDistinguishCtx(ctx, d.mk, func(c cachemodel.LLC) (attack.Victim, attack.Victim) {
-				va := attack.NewAESVictim(keyA, 1<<20, 16, attack.CacheToucher(c, 2))
-				vb := attack.NewAESVictim(keyB, 1<<20, 16, attack.CacheToucher(c, 3))
-				return va, vb
-			}, d.occupancy, noise, max, 4.5)
-		if err != nil {
-			return err
-		}
-		mexN, err := attack.Trials{Runs: runs, Workers: workers, Seed: seed + 77}.
-			MedianDistinguishCtx(ctx, d.mk, func(c cachemodel.LLC) (attack.Victim, attack.Victim) {
-				va := attack.NewModExpVictim(1, 64, 1<<21, attack.CacheToucher(c, 2))
-				vb := attack.NewModExpVictim(4, 64, 1<<21, attack.CacheToucher(c, 3))
-				return va, vb
-			}, d.occupancy, noise, max, 4.5)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, row{d.name, aesN, mexN})
-	}
-	fa := rows[len(rows)-1]
-	for _, r := range rows {
-		t.AddRow(r.name,
-			fmt.Sprintf("%.0f", r.aes), fmt.Sprintf("%.3f", r.aes/fa.aes),
-			fmt.Sprintf("%.0f", r.modexp), fmt.Sprintf("%.3f", r.modexp/fa.modexp))
-	}
-	t.Render(os.Stdout)
-	fmt.Println()
-	return nil
-}
-
-// evictionSets demonstrates why Maya/Mirage eliminate conflict attacks:
-// eviction-set construction succeeds against conventional and
-// CEASER-family designs (with SAEs as the tell-tale) and fails against the
-// global-eviction designs.
-func evictionSets(sets int, seed uint64) error {
-	t := report.NewTable("Eviction-set construction across designs",
-		"design", "found", "set size", "SAEs observed", "attacker accesses")
-	designs := []struct {
-		name string
-		mk   func() cachemodel.LLC
-	}{
-		{"Baseline 16-way", func() cachemodel.LLC {
-			return mustLLC(baseline.NewChecked(baseline.Config{Sets: sets, Ways: 16, Replacement: baseline.LRU, Seed: seed, MatchSDID: true}))
-		}},
-		{"CEASER", func() cachemodel.LLC {
-			return mustLLC(ceaser.NewChecked(ceaser.Config{Sets: sets, Ways: 16, Variant: ceaser.CEASER, Seed: seed}))
-		}},
-		{"CEASER-S", func() cachemodel.LLC {
-			return mustLLC(ceaser.NewChecked(ceaser.Config{Sets: sets, Ways: 16, Variant: ceaser.CEASERS, Seed: seed}))
-		}},
-		{"ScatterCache", func() cachemodel.LLC {
-			return mustLLC(ceaser.NewChecked(ceaser.Config{Sets: sets, Ways: 16, Variant: ceaser.ScatterCache, Seed: seed}))
-		}},
-		{"Mirage", func() cachemodel.LLC {
-			return mustLLC(mirage.NewChecked(mirage.Config{SetsPerSkew: sets, Skews: 2, BaseWays: 8, ExtraWays: 6, Seed: seed}))
-		}},
-		{"Maya", func() cachemodel.LLC {
-			return mustLLC(maya.NewChecked(maya.Config{SetsPerSkew: sets, Skews: 2, BaseWays: 6, ReuseWays: 3, InvalidWays: 6, Seed: seed}))
-		}},
-	}
-	for _, d := range designs {
-		res := attack.BuildEvictionSet(d.mk(), 0x12345, sets*64, 80_000_000, seed)
-		t.AddRow(d.name, res.Found, res.SetSize, res.SAEsObserved, res.AccessesUsed)
-	}
-	t.Render(os.Stdout)
-	fmt.Println()
-	return nil
+	return experiments.Exit(os.Stderr, "attacksim", runner, ctx.Err() != nil)
 }

@@ -43,7 +43,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -52,7 +51,6 @@ import (
 	"strings"
 	"time"
 
-	"mayacache/internal/cachemodel"
 	"mayacache/internal/experiments"
 	"mayacache/internal/faults"
 	"mayacache/internal/harness"
@@ -61,13 +59,7 @@ import (
 )
 
 // validExperiments are the figure table's names plus "all".
-var validExperiments = func() []string {
-	var names []string
-	for _, f := range experiments.Figures() {
-		names = append(names, f.Name)
-	}
-	return append(names, "all")
-}()
+var validExperiments = append(experiments.Names(experiments.Figures(experiments.Scale{})), "all")
 
 func main() {
 	os.Exit(run())
@@ -192,27 +184,16 @@ func run() int {
 		func(msg string) { fmt.Fprintln(os.Stderr, "mayasim: "+msg) })
 	defer cancel()
 
-	figures := experiments.Figures()
-	if *exp != "all" {
-		figures = []*experiments.Figure{experiments.Lookup(*exp)}
-	}
-	sess := experiments.NewSession(runner, experiments.Scale{WarmupInstr: *warmup, ROIInstr: *roi, Seed: *seed})
-	out := os.Stdout
-	for _, f := range figures {
+	sess := experiments.NewSession(runner)
+	figures := experiments.Figures(experiments.Scale{WarmupInstr: *warmup, ROIInstr: *roi, Seed: *seed})
+	for _, f := range experiments.Select(figures, *exp) {
 		rep, _ := sess.Run(ctx, f)
-		if *csv {
-			rep.CSV(out)
-		} else {
-			rep.Render(out)
-		}
-		if rep.Incomplete > 0 {
-			fmt.Fprintf(out, "note: %d row(s) FAILED or missing; aggregates cover completed rows only\n", rep.Incomplete)
-		}
-		fmt.Fprintln(out)
+		experiments.Write(os.Stdout, rep, *csv)
 	}
 
-	if ctx.Err() != nil || trig.Fired() {
-		fmt.Fprintln(os.Stderr, "mayasim: interrupted; partial tables above")
+	interrupted := ctx.Err() != nil || trig.Fired()
+	code := experiments.Exit(os.Stderr, "mayasim", runner, interrupted)
+	if interrupted {
 		switch {
 		case trig.Fired() && *checkpoint != "":
 			fmt.Fprintf(os.Stderr, "mayasim: cell snapshots saved under %s; rerun the same command to resume mid-cell from %s\n", *snapDir, *checkpoint)
@@ -221,57 +202,8 @@ func run() int {
 		default:
 			fmt.Fprintln(os.Stderr, "mayasim: rerun with -checkpoint FILE to make interrupted sweeps resumable")
 		}
-		return 1
 	}
-	if runner.Failed() {
-		runner.WriteFailureSummary(os.Stderr)
-		if field, only := mismatchOnly(runner.Failures()); only {
-			fmt.Fprintf(os.Stderr, "mayasim: all failures are stale-snapshot mismatches (field %q): the saved state was taken under a different configuration; rerun with the original flags, or delete the snapshot files and checkpoint entries to recompute\n", field)
-			return 2
-		}
-		if badConfigOnly(runner.Failures()) {
-			fmt.Fprintln(os.Stderr, "mayasim: all failures are invalid cache configurations (cachemodel.ErrBadConfig): no simulation ran for those cells; fix the configuration and rerun")
-			return 2
-		}
-		return 1
-	}
-	return 0
-}
-
-// badConfigOnly reports whether every recorded failure unwraps to
-// cachemodel.ErrBadConfig — a run whose only problem was asking for an
-// unbuildable cache, which is usage error (exit 2), not a simulation
-// failure (exit 1).
-func badConfigOnly(fails []*harness.RunError) bool {
-	if len(fails) == 0 {
-		return false
-	}
-	for _, f := range fails {
-		if !errors.Is(f.Err, cachemodel.ErrBadConfig) {
-			return false
-		}
-	}
-	return true
-}
-
-// mismatchOnly reports whether every recorded failure unwraps to a
-// snapshot.MismatchError — a run that found only incompatible saved state
-// and did no wrong otherwise — and names the first mismatched field.
-func mismatchOnly(fails []*harness.RunError) (string, bool) {
-	if len(fails) == 0 {
-		return "", false
-	}
-	field := ""
-	for _, f := range fails {
-		var mm *snapshot.MismatchError
-		if !errors.As(f.Err, &mm) {
-			return "", false
-		}
-		if field == "" {
-			field = mm.Field
-		}
-	}
-	return field, true
+	return code
 }
 
 // suggestExperiments returns valid experiment names within edit distance 2

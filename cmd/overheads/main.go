@@ -6,6 +6,10 @@
 // Usage:
 //
 //	overheads -table storage|energy|summary|all [-perf]
+//
+// Each table is an entry of the experiments figure table, run by
+// experiments.Session: a failed cell renders as FAILED rows and is
+// reported in the final failure summary (exit 1). Invalid flags exit 2.
 package main
 
 import (
@@ -13,145 +17,42 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
-	"mayacache/internal/analytic"
 	"mayacache/internal/experiments"
 	"mayacache/internal/harness"
-	"mayacache/internal/power"
-	"mayacache/internal/report"
 )
+
+// validTables are the names of overheads' entries plus "all".
+var validTables = append(experiments.Names(experiments.CostFigures(false, experiments.Scale{})), "all")
 
 func main() {
 	var (
-		table  = flag.String("table", "all", "storage|energy|summary|all")
+		table  = flag.String("table", "all", strings.Join(validTables, "|"))
 		perf   = flag.Bool("perf", false, "simulate SPEC homogeneous performance for Table X (slow)")
-		warmup = flag.Uint64("warmup", 2_000_000, "warmup instructions per core for -perf")
-		roi    = flag.Uint64("roi", 800_000, "ROI instructions per core for -perf")
+		warmup = flag.Uint64("warmup", 2_000_000, "warmup instructions per core for -perf (must be positive)")
+		roi    = flag.Uint64("roi", 800_000, "ROI instructions per core for -perf (must be positive)")
 		csv    = flag.Bool("csv", false, "emit CSV")
 	)
 	flag.Parse()
-
-	emit := func(t *report.Table) {
-		if *csv {
-			t.CSV(os.Stdout)
-		} else {
-			t.Render(os.Stdout)
-		}
-		fmt.Println()
-	}
-
-	ok := true
-	switch *table {
-	case "storage":
-		storageTable(emit)
-	case "energy":
-		energyTable(emit)
-	case "summary":
-		ok = summaryTable(emit, *perf, *warmup, *roi)
-	case "all":
-		storageTable(emit)
-		energyTable(emit)
-		ok = summaryTable(emit, *perf, *warmup, *roi)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "overheads: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	if !ok {
-		os.Exit(1)
+	if !slices.Contains(validTables, *table) {
+		fail("unknown table %q", *table)
 	}
-}
+	if *warmup == 0 || *roi == 0 {
+		fail("-warmup and -roi must be positive, got %d and %d", *warmup, *roi)
+	}
 
-func storageTable(emit func(*report.Table)) {
-	t := report.NewTable("Table VIII: storage overheads",
-		"configuration", "Baseline", "Mirage", "Maya")
-	rows := []struct {
-		label string
-		get   func(power.Storage) string
-	}{
-		{"Tag bits", func(s power.Storage) string { return fmt.Sprintf("%d", s.TagBits) }},
-		{"Coherence bits", func(s power.Storage) string { return fmt.Sprintf("%d", s.CoherenceBits) }},
-		{"Priority bits", func(s power.Storage) string { return fmt.Sprintf("%d", s.PriorityBits) }},
-		{"FPTR bits", func(s power.Storage) string { return fmt.Sprintf("%d", s.FPTRBits) }},
-		{"SDID bits", func(s power.Storage) string { return fmt.Sprintf("%d", s.SDIDBits) }},
-		{"Tag entry bits", func(s power.Storage) string { return fmt.Sprintf("%d", s.TagEntryBits) }},
-		{"Tag entries", func(s power.Storage) string { return fmt.Sprintf("%d", s.TagEntries) }},
-		{"Tag store KB", func(s power.Storage) string { return fmt.Sprintf("%.0f", s.TagStoreKB) }},
-		{"Data entry bits", func(s power.Storage) string { return fmt.Sprintf("%d", s.DataEntryBits) }},
-		{"Data entries", func(s power.Storage) string { return fmt.Sprintf("%d", s.DataEntries) }},
-		{"Data store KB", func(s power.Storage) string { return fmt.Sprintf("%.0f", s.DataStoreKB) }},
-		{"Total KB", func(s power.Storage) string { return fmt.Sprintf("%.0f", s.TotalKB) }},
-		{"Overhead vs baseline", func(s power.Storage) string { return fmt.Sprintf("%+.1f%%", s.OverheadVsBaseline()*100) }},
-	}
-	base, mir, maya := power.Account(power.Baseline), power.Account(power.Mirage), power.Account(power.Maya)
-	for _, r := range rows {
-		t.AddRow(r.label, r.get(base), r.get(mir), r.get(maya))
-	}
-	emit(t)
-}
-
-func energyTable(emit func(*report.Table)) {
-	t := report.NewTable("Table IX: energy, power, and area (P-CACTI-substitute model, 7nm)",
-		"design", "read energy/access (nJ)", "write energy/access (nJ)", "static power (mW)", "area (mm^2)")
-	for _, d := range []power.Design{power.Baseline, power.Mirage, power.Maya, power.MayaISO} {
-		c := power.Estimate(d)
-		t.AddRow(string(d), c.ReadEnergyNJ, c.WriteEnergyNJ, c.StaticPowerMW, c.AreaMM2)
-	}
-	emit(t)
-}
-
-// securityFor returns the analytical installs-per-SAE for each Table X
-// design.
-func securityFor(d power.Design) string {
-	var T float64
-	var ways int
-	switch d {
-	case power.Maya:
-		T, ways = 9, 15
-	case power.Mirage:
-		T, ways = 8, 14
-	case power.MirageLite:
-		T, ways = 8, 13
-	case power.MayaISO:
-		T, ways = 12, 18
-	default:
-		return "none (conventional)"
-	}
-	dist, err := analytic.Solve(T)
-	if err != nil {
-		return "error"
-	}
-	return analytic.FormatInstalls(dist.InstallsPerSAE(ways))
-}
-
-// summaryTable renders Table X, simulating its performance column through
-// an experiments.Session when perf is set. It reports false when a
-// simulated cell failed; that design's performance reads FAILED.
-func summaryTable(emit func(*report.Table), perf bool, warmup, roi uint64) bool {
-	t := report.NewTable("Table X: security, storage, performance summary",
-		"design", "security (installs/SAE)", "storage", "performance")
-	designs := []power.Design{power.Maya, power.Mirage, power.MirageLite, power.MayaISO}
-	perfCol := map[string]string{}
 	runner := harness.New(harness.Options{})
-	if perf {
-		sc := experiments.Scale{WarmupInstr: warmup, ROIInstr: roi, Seed: 1}
-		rep, _ := experiments.NewSession(runner, sc).Run(context.Background(), experiments.Table10Perf())
-		for _, row := range rep.Rows {
-			perfCol[row[0]] = row[1]
-		}
+	sess := experiments.NewSession(runner)
+	figs := experiments.CostFigures(*perf, experiments.Scale{WarmupInstr: *warmup, ROIInstr: *roi, Seed: 1})
+	for _, f := range experiments.Select(figs, *table) {
+		rep, _ := sess.Run(context.Background(), f)
+		experiments.Write(os.Stdout, rep, *csv)
 	}
-	for _, d := range designs {
-		st := power.Account(d)
-		perfStr, ok := perfCol[string(d)]
-		if !ok {
-			perfStr = "(run with -perf)"
-		}
-		t.AddRow(string(d), securityFor(d),
-			fmt.Sprintf("%+.1f%%", st.OverheadVsBaseline()*100), perfStr)
-	}
-	emit(t)
-	if runner.Failed() {
-		runner.WriteFailureSummary(os.Stderr)
-		return false
-	}
-	return true
+	os.Exit(experiments.Exit(os.Stderr, "overheads", runner, false))
 }

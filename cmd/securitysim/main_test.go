@@ -4,7 +4,7 @@ import "testing"
 
 // TestValidateFlags pins the usage contract that maps to exit 2.
 func TestValidateFlags(t *testing.T) {
-	valid := flags{exp: "fig6", buckets: 256, iters: 1000, shards: 4, workers: 2}
+	valid := flags{exp: "fig6", buckets: 256, iters: 1000, shards: 4, workers: 2, progress: "auto"}
 	cases := []struct {
 		name   string
 		mutate func(f *flags)
@@ -22,6 +22,8 @@ func TestValidateFlags(t *testing.T) {
 		{"zero workers", func(f *flags) { f.workers = 0 }, false},
 		{"negative workers", func(f *flags) { f.workers = -1 }, false},
 		{"zero buckets", func(f *flags) { f.buckets = 0 }, false},
+		{"progress off", func(f *flags) { f.progress = "off" }, true},
+		{"unknown progress mode", func(f *flags) { f.progress = "bogus" }, false},
 	}
 	for _, tc := range cases {
 		f := valid

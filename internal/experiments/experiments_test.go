@@ -90,7 +90,7 @@ func TestFig1ShapesAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	rep, err := NewSession(harness.New(harness.Options{}), tiny()).Run(context.Background(), Lookup("fig1"))
+	rep, err := NewSession(harness.New(harness.Options{})).Run(context.Background(), Select(Figures(tiny()), "fig1")[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,26 +23,38 @@ func sweepScale() Scale {
 // runCores runs the core-count figure at the given counts in a fresh
 // session and returns its report, cell values and completeness flags.
 func runCores(ctx context.Context, r *harness.Runner, sc Scale, counts []int) (Report, []sensitivityRow, []bool, error) {
-	f := coresFigure(counts)
-	s := NewSession(r, sc)
+	f := coresFigure(sc, counts)
+	s := NewSession(r)
 	rep, err := s.Run(ctx, f)
 	res := s.done[f.groups[0]]
 	return rep, res.vals.([]sensitivityRow), res.ok, err
 }
 
 func TestFigureNamesUnique(t *testing.T) {
+	var all []*Figure
+	for _, figs := range [][]*Figure{
+		Figures(sweepScale()),
+		SecurityFigures(SecuritySpec{}, nil),
+		AttackFigures(AttackSpec{}),
+		CostFigures(true, sweepScale()),
+	} {
+		all = append(all, figs...)
+		if got := Select(figs, "all"); len(got) != len(figs) {
+			t.Fatalf("Select(all) returned %d of %d entries", len(got), len(figs))
+		}
+	}
 	seen := map[string]bool{}
-	for _, f := range Figures() {
+	for _, f := range all {
 		if seen[f.Name] || f.Name == "all" {
 			t.Fatalf("figure name %q repeated or reserved", f.Name)
 		}
 		seen[f.Name] = true
-		if g := Lookup(f.Name); g == nil || g.Title != f.Title {
-			t.Fatalf("Lookup(%q) does not return its entry", f.Name)
+		if g := Select(all, f.Name); len(g) != 1 || g[0] != f {
+			t.Fatalf("Select(%q) does not return its entry", f.Name)
 		}
 	}
-	if Lookup("all") != nil || Lookup(Table10Perf().Name) != nil {
-		t.Fatal("Lookup found a name outside the figure table")
+	if Select(Figures(sweepScale()), "fig6") != nil {
+		t.Fatal("Select found a name outside its list")
 	}
 }
 
@@ -50,7 +62,7 @@ func TestFigureNamesUnique(t *testing.T) {
 // Table VII) compute and report its cells once per session.
 func TestSessionRunsSharedGroupOnce(t *testing.T) {
 	var calls int32
-	g := group("shared", []string{"a", "b"}, func(_ context.Context, _ Scale, i int) (float64, error) {
+	g := group("shared", []string{"a", "b"}, func(_ context.Context, i int) (float64, error) {
 		atomic.AddInt32(&calls, 1)
 		return float64(i + 1), nil
 	})
@@ -64,7 +76,7 @@ func TestSessionRunsSharedGroupOnce(t *testing.T) {
 	}
 	a := &Figure{Name: "a", groups: []*cellGroup{g}, reduce: sum}
 	b := &Figure{Name: "b", groups: []*cellGroup{g}, reduce: sum}
-	s := NewSession(harness.New(harness.Options{Workers: 1}), sweepScale())
+	s := NewSession(harness.New(harness.Options{Workers: 1}))
 	for _, f := range []*Figure{a, b} {
 		rep, err := s.Run(context.Background(), f)
 		if err != nil {

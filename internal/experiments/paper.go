@@ -21,14 +21,15 @@ import (
 // by functions, not package variables, so binaries that never run one
 // do not link the simulation code behind it.
 
-// Figures returns the performance figures mayasim runs, in the order its
-// "all" experiment renders them. Fig 9 and Table VII share one cell
-// group, as do Fig 10 and Table VII.
-func Figures() []*Figure {
-	f9, f10 := fig9Group(), fig10Group()
+// Figures returns the performance figures mayasim runs at scale sc, in
+// the order its "all" experiment renders them. Fig 9 and Table VII share
+// one cell group, as do Fig 10 and Table VII. Every cell key ends in
+// scaleKey(sc).
+func Figures(sc Scale) []*Figure {
+	f9, f10 := fig9Group(sc), fig10Group(sc)
 	return []*Figure{
-		fig1(), fig9(f9), fig10(f10), table7(f9, f10), fig4(), table11(),
-		fitting(), coresFigure([]int{8, 16, 32}), llcSize(),
+		fig1(sc), fig9(f9), fig10(f10), table7(f9, f10), fig4(sc), table11(sc),
+		fitting(sc), coresFigure(sc, []int{8, 16, 32}), llcSize(sc),
 	}
 }
 
@@ -112,13 +113,13 @@ type fig1Row struct {
 	DeadMirage   float64 // percent
 }
 
-func fig1() *Figure {
+func fig1(sc Scale) *Figure {
 	fig1Benches := memIntensive()
 	return &Figure{
 		Name:   "fig1",
 		Title:  "Fig 1: % dead blocks inserted into a 2MB single-core LLC",
 		Header: []string{"benchmark", "suite", "baseline dead%", "mirage dead%"},
-		groups: []*cellGroup{group("fig1", benchLabels(fig1Benches), func(ctx context.Context, sc Scale, i int) (fig1Row, error) {
+		groups: []*cellGroup{group("fig1", keyed(benchLabels(fig1Benches), scaleKey(sc)), func(ctx context.Context, i int) (fig1Row, error) {
 			b := fig1Benches[i]
 			var dead [2]float64
 			for k, c := range []struct {
@@ -179,9 +180,9 @@ func fig9Order() []string {
 	return append(spec, gap...)
 }
 
-func fig9Group() *cellGroup {
+func fig9Group(sc Scale) *cellGroup {
 	fig9Benches := fig9Order()
-	return group("fig9", benchLabels(fig9Benches), func(ctx context.Context, sc Scale, i int) (fig9Row, error) {
+	return group("fig9", keyed(benchLabels(fig9Benches), scaleKey(sc)), func(ctx context.Context, i int) (fig9Row, error) {
 		b := fig9Benches[i]
 		r, err := runDesigns(ctx, b, homogeneous(b, 8), sc, DesignBaseline, DesignMirage, DesignMaya)
 		if err != nil {
@@ -270,9 +271,9 @@ type fig10Row struct {
 }
 
 // fig10Group runs the 21 heterogeneous mixes of Table VI.
-func fig10Group() *cellGroup {
+func fig10Group(sc Scale) *cellGroup {
 	fig10Mixes := trace.HeteroMixes()
-	return group("fig10", mapEach(fig10Mixes, func(m trace.Mix) string { return "mix=" + m.Name }), func(ctx context.Context, sc Scale, i int) (fig10Row, error) {
+	return group("fig10", keyed(mapEach(fig10Mixes, func(m trace.Mix) string { return "mix=" + m.Name }), scaleKey(sc)), func(ctx context.Context, i int) (fig10Row, error) {
 		m := fig10Mixes[i]
 		r, err := runDesigns(ctx, m.Name, m.Benchmarks, sc, DesignBaseline, DesignMirage, DesignMaya)
 		if err != nil {
@@ -355,19 +356,19 @@ func table7(f9, f10 *cellGroup) *Figure {
 // failed baseline only degrades the rows that need it.
 var fig4Ways = []int{1, 3, 5, 7}
 
-func fig4() *Figure {
+func fig4(sc Scale) *Figure {
 	specBenches := trace.SpecMemIntensive()
 	return &Figure{
 		Name:   "fig4",
 		Title:  "Fig 4: Maya performance vs reuse ways per skew (SPEC homogeneous, normalized WS)",
 		Header: []string{"reuse ways/skew", "normalized WS"},
 		groups: []*cellGroup{
-			group("fig4-base", benchLabels(specBenches), func(ctx context.Context, sc Scale, j int) (float64, error) {
+			group("fig4-base", keyed(benchLabels(specBenches), scaleKey(sc)), func(ctx context.Context, j int) (float64, error) {
 				b := specBenches[j]
 				res, err := RunMixDesignCtx(ctx, b, homogeneous(b, 8), DesignBaseline, sc)
 				return res.WS, err
 			}),
-			group("fig4", crossLabels(labelsOf("rw=%d", fig4Ways), benchLabels(specBenches)), func(ctx context.Context, sc Scale, k int) (float64, error) {
+			group("fig4", keyed(crossLabels(labelsOf("rw=%d", fig4Ways), benchLabels(specBenches)), scaleKey(sc)), func(ctx context.Context, k int) (float64, error) {
 				w, b := fig4Ways[k/len(specBenches)], specBenches[k%len(specBenches)]
 				llc, err := NewLLCChecked(DesignMaya, LLCOptions{Cores: 8, Seed: sc.Seed, FastHash: true, ReuseWays: w})
 				if err != nil {
@@ -443,13 +444,13 @@ func newPartitionLLC(k partition.Kind, cores int, seed uint64) cachemodel.LLC {
 	})
 }
 
-func table11() *Figure {
+func table11(sc Scale) *Figure {
 	specBenches := trace.SpecMemIntensive()
 	return &Figure{
 		Name:   "table11",
 		Title:  "Table XI: secure partitioning techniques (8-core, SPEC homogeneous)",
 		Header: []string{"technique", "performance %", "storage %"},
-		groups: []*cellGroup{group("table11", crossLabels(mapEach(table11Kinds, func(k table11Kind) string { return k.key }), benchLabels(specBenches)), func(ctx context.Context, sc Scale, c int) (float64, error) {
+		groups: []*cellGroup{group("table11", keyed(crossLabels(mapEach(table11Kinds, func(k table11Kind) string { return k.key }), benchLabels(specBenches)), scaleKey(sc)), func(ctx context.Context, c int) (float64, error) {
 			k, b := table11Kinds[c/len(specBenches)], specBenches[c%len(specBenches)]
 			mix := homogeneous(b, 8)
 			base, err := RunMixDesignCtx(ctx, b, mix, DesignBaseline, sc)
@@ -501,13 +502,13 @@ func mayaVsBaseline(ctx context.Context, mixName string, mix []string, sc Scale)
 
 // fitting measures Maya on the LLC-fitting benchmarks (Section V-B
 // reports a 0.63% average loss).
-func fitting() *Figure {
+func fitting(sc Scale) *Figure {
 	fittingBenches := trace.LLCFitting()
 	return &Figure{
 		Name:   "fitting",
 		Title:  "Section V-B: LLC-fitting benchmarks under Maya (normalized WS)",
 		Header: []string{"benchmark", "Maya/baseline"},
-		groups: []*cellGroup{group("fitting", benchLabels(fittingBenches), func(ctx context.Context, sc Scale, i int) (sensitivityRow, error) {
+		groups: []*cellGroup{group("fitting", keyed(benchLabels(fittingBenches), scaleKey(sc)), func(ctx context.Context, i int) (sensitivityRow, error) {
 			b := fittingBenches[i]
 			n, err := mayaVsBaseline(ctx, b, homogeneous(b, 8), sc)
 			return sensitivityRow{Label: b, NormMaya: n}, err
@@ -525,14 +526,14 @@ func fitting() *Figure {
 
 // coresFigure runs a mix rotating through the memory-intensive benchmarks
 // at each core count, normalizing Maya to the like-for-like baseline.
-func coresFigure(counts []int) *Figure {
+func coresFigure(sc Scale, counts []int) *Figure {
 	pool := memIntensive()
 	labels := labelsOf("%d cores", counts)
 	return &Figure{
 		Name:   "cores",
 		Title:  "Section V-B: core-count sensitivity (normalized WS)",
 		Header: []string{"system", "Maya/baseline"},
-		groups: []*cellGroup{group("cores", labelsOf("cores=%d", counts), func(ctx context.Context, sc Scale, i int) (sensitivityRow, error) {
+		groups: []*cellGroup{group("cores", keyed(labelsOf("cores=%d", counts), scaleKey(sc)), func(ctx context.Context, i int) (sensitivityRow, error) {
 			mix := make([]string, counts[i])
 			for j := range mix {
 				mix[j] = pool[j%len(pool)]
@@ -553,13 +554,13 @@ func coresFigure(counts []int) *Figure {
 // thus its security argument, as in the paper.
 var llcSizeFactors = []float64{0.5, 1.0, 2.0, 4.0}
 
-func llcSize() *Figure {
+func llcSize(sc Scale) *Figure {
 	specBenches := trace.SpecMemIntensive()
 	return &Figure{
 		Name:   "llcsize",
 		Title:  "Section V-B: LLC-size sensitivity (Maya data store, normalized WS)",
 		Header: []string{"configuration", "Maya/baseline"},
-		groups: []*cellGroup{group("llcsize", crossLabels(labelsOf("f=%g", llcSizeFactors), benchLabels(specBenches)), func(ctx context.Context, sc Scale, c int) (float64, error) {
+		groups: []*cellGroup{group("llcsize", keyed(crossLabels(labelsOf("f=%g", llcSizeFactors), benchLabels(specBenches)), scaleKey(sc)), func(ctx context.Context, c int) (float64, error) {
 			f, b := llcSizeFactors[c/len(specBenches)], specBenches[c%len(specBenches)]
 			mix := homogeneous(b, 8)
 			sets := 1 << bits.Len(uint(float64(cachemodel.DefaultSetsPerCore*8)*f+0.5)-1)
@@ -591,52 +592,6 @@ func llcSize() *Figure {
 				labels[i] = fmt.Sprintf("%dMB data store", int(12*f+0.5))
 			}
 			return addNormRows(t, labels, gms, ok)
-		},
-	}
-}
-
-// ---------------------------------------------------------------- Table X
-
-// table10Designs are the secure designs of Table X's performance column.
-var table10Designs = []Design{DesignMaya, DesignMirage, DesignMirageLite, DesignMayaISO}
-
-// Table10Perf returns the performance column of Table X: each secure
-// design's SPEC homogeneous 8-core weighted speedup relative to the
-// baseline, as a signed percentage. Rows are (design, performance).
-func Table10Perf() *Figure {
-	specBenches := trace.SpecMemIntensive()
-	return &Figure{
-		Name:   "table10",
-		Title:  "Table X: performance (SPEC homogeneous, normalized WS)",
-		Header: []string{"design", "performance"},
-		groups: []*cellGroup{group("table10", benchLabels(specBenches), func(ctx context.Context, sc Scale, i int) ([]float64, error) {
-			b := specBenches[i]
-			r, err := runDesigns(ctx, b, homogeneous(b, 8), sc, append([]Design{DesignBaseline}, table10Designs...)...)
-			if err != nil {
-				return nil, err
-			}
-			norms := make([]float64, len(table10Designs))
-			for k := range norms {
-				norms[k] = r[k+1].WS / r[0].WS
-			}
-			return norms, nil
-		})},
-		reduce: func(t *report.Table, res []groupResult) int {
-			rows, ok := res[0].vals.([][]float64), res[0].ok
-			if countFalse(ok) > 0 {
-				for _, d := range table10Designs {
-					t.AddRow(string(d), "FAILED")
-				}
-				return len(table10Designs)
-			}
-			for k, d := range table10Designs {
-				norms := make([]float64, len(rows))
-				for i, r := range rows {
-					norms[i] = r[k]
-				}
-				t.AddRow(string(d), fmt.Sprintf("%+.2f%%", (gmeanOr(norms, 0)-1)*100))
-			}
-			return 0
 		},
 	}
 }

@@ -25,14 +25,14 @@ func TestFig6OneShardMatchesSerial(t *testing.T) {
 	if len(points) != len(Fig6Capacities) {
 		t.Fatalf("%d points, want %d", len(points), len(Fig6Capacities))
 	}
-	for _, p := range points {
+	for i, p := range points {
 		cfg := buckets.MayaDefault(spec.Buckets, spec.Seed)
-		cfg.Capacity = p.Capacity
+		cfg.Capacity = Fig6Capacities[i]
 		m := buckets.New(cfg)
 		m.Run(spec.Iters)
-		if p.Result.Iterations != m.Iterations() || p.Result.Spills != m.Spills() {
+		if p.Iterations != m.Iterations() || p.Spills != m.Spills() {
 			t.Fatalf("capacity %d: sharded %v != serial iters=%d spills=%d",
-				p.Capacity, p.Result, m.Iterations(), m.Spills())
+				cfg.Capacity, p, m.Iterations(), m.Spills())
 		}
 	}
 }
@@ -42,7 +42,7 @@ func TestFig6OneShardMatchesSerial(t *testing.T) {
 // capacity, whatever the pool width.
 func TestFig6FlattenEquivalence(t *testing.T) {
 	spec := secSpec(4)
-	var want []Fig6Point
+	var want []*buckets.ShardedResult
 	for _, workers := range []int{1, 3} {
 		s := spec
 		s.Workers = workers
@@ -52,17 +52,17 @@ func TestFig6FlattenEquivalence(t *testing.T) {
 		}
 		if want == nil {
 			want = points
-			for _, p := range points {
+			for i, p := range points {
 				cfg := buckets.MayaDefault(spec.Buckets, spec.Seed)
-				cfg.Capacity = p.Capacity
+				cfg.Capacity = Fig6Capacities[i]
 				solo, serr := buckets.RunSharded(context.Background(), buckets.ShardedRun{
 					Config: cfg, Iters: spec.Iters, Shards: spec.Shards, Workers: 1,
 				})
 				if serr != nil {
 					t.Fatal(serr)
 				}
-				if !reflect.DeepEqual(p.Result, solo) {
-					t.Fatalf("capacity %d: flattened result differs from standalone RunSharded", p.Capacity)
+				if !reflect.DeepEqual(p, solo) {
+					t.Fatalf("capacity %d: flattened result differs from standalone RunSharded", cfg.Capacity)
 				}
 			}
 			continue

@@ -154,8 +154,6 @@ type model struct{ a, b, c float64 }
 
 func (m model) eval(dataKB, tagKB float64) float64 { return m.a*dataKB + m.b*tagKB + m.c }
 
-var readModel, writeModel, staticModel, areaModel = fitModels()
-
 // fitModels solves the 3x3 linear system per metric so the calibration
 // rows reproduce exactly.
 func fitModels() (read, write, static, area model) {
@@ -218,6 +216,7 @@ func gauss3(a [3][3]float64, b [3]float64) [3]float64 {
 // calibration designs, extrapolated for variants).
 func Estimate(d Design) Costs {
 	s := Account(d)
+	readModel, writeModel, staticModel, areaModel := fitModels()
 	return Costs{
 		Design:        d,
 		ReadEnergyNJ:  readModel.eval(s.DataStoreKB, s.TagStoreKB),
